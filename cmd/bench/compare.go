@@ -185,21 +185,24 @@ func joinWhy(why []string) string {
 	return s
 }
 
-// runCompare is the -compare entry point: load both snapshots, print the
-// table, and exit 1 if anything regressed beyond the threshold.
-func runCompare(oldPath, newPath string, threshold float64) {
+// runCompare is the -compare entry point: load both snapshots and print the
+// table. It fails if anything regressed beyond the threshold, and also if
+// the snapshots share no entry: a gate that compared nothing must not pass.
+func runCompare(oldPath, newPath string, threshold float64) error {
 	oldSnap, err := loadSnapshot(oldPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	newSnap, err := loadSnapshot(newPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	regressed := compareSnapshots(oldSnap, newSnap, threshold)
-	if onlyOld, onlyNew := entryNameDiff(oldSnap, newSnap); len(onlyOld) > 0 || len(onlyNew) > 0 {
+	onlyOld, onlyNew := entryNameDiff(oldSnap, newSnap)
+	shared := len(newSnap.Entries) - len(onlyNew)
+	if len(onlyOld) > 0 || len(onlyNew) > 0 {
 		fmt.Fprintf(os.Stderr, "bench: warning: snapshots cover different entry sets — only the %d shared entr%s gated\n",
-			len(newSnap.Entries)-len(onlyNew), plural(len(newSnap.Entries)-len(onlyNew)))
+			shared, plural(shared))
 		for _, n := range onlyOld {
 			fmt.Fprintf(os.Stderr, "  only in %s: %s\n", oldPath, n)
 		}
@@ -207,15 +210,18 @@ func runCompare(oldPath, newPath string, threshold float64) {
 			fmt.Fprintf(os.Stderr, "  only in %s: %s\n", newPath, n)
 		}
 	}
+	if shared == 0 {
+		return fmt.Errorf("%s and %s share no entry: nothing was compared", oldPath, newPath)
+	}
 	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "bench: %d entr%s regressed more than %.0f%%:\n",
-			len(regressed), plural(len(regressed)), threshold*100)
 		for _, r := range regressed {
 			fmt.Fprintln(os.Stderr, "  ", r)
 		}
-		os.Exit(1)
+		return fmt.Errorf("%d entr%s regressed more than %.0f%% (listed above)",
+			len(regressed), plural(len(regressed)), threshold*100)
 	}
 	fmt.Printf("no regressions beyond %.0f%%\n", threshold*100)
+	return nil
 }
 
 func plural(n int) string {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -145,5 +146,30 @@ func TestCompareDifferingEntrySets(t *testing.T) {
 	sameOld, sameNew := entryNameDiff(oldSnap, oldSnap)
 	if len(sameOld) != 0 || len(sameNew) != 0 {
 		t.Errorf("identical snapshots diff = %v / %v, want empty", sameOld, sameNew)
+	}
+}
+
+// runCompare fails when the snapshots share no entry — a gate that
+// compared nothing must not report "no regressions" — and passes a clean
+// comparison that shares at least one.
+func TestRunCompareNeedsSharedEntries(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, snap *snapshot) string {
+		path := filepath.Join(dir, name)
+		if err := snap.Write(path, false); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	other := baseEntry()
+	other.Name = "Synthesize/MWD/SRing/j=1"
+	base := write("base.json", snapWith(baseEntry()))
+	disjoint := write("disjoint.json", snapWith(other))
+	if err := runCompare(base, disjoint, 0.20); err == nil || !strings.Contains(err.Error(), "share no entry") {
+		t.Errorf("disjoint snapshots: err = %v, want a share-no-entry failure", err)
+	}
+	both := write("both.json", snapWith(baseEntry(), other))
+	if err := runCompare(base, both, 0.20); err != nil {
+		t.Errorf("one shared, unregressed entry: err = %v, want nil", err)
 	}
 }

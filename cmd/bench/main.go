@@ -215,7 +215,9 @@ func main() {
 		if *threshold <= 0 {
 			fatal(fmt.Errorf("-threshold must be positive, got %v", *threshold))
 		}
-		runCompare(flag.Arg(0), flag.Arg(1), *threshold)
+		if err := runCompare(flag.Arg(0), flag.Arg(1), *threshold); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

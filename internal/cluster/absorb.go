@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"sring/internal/netlist"
 )
@@ -15,7 +15,7 @@ import (
 // grows by delta = d(a,c) + d(c,b) − d(a,b), a message's forward path grows
 // by delta exactly when its arc covers segment pos (its reverse path grows
 // by delta exactly when it does not), and the only genuinely new paths are
-// the candidate's own messages. absorbScratch precomputes, once per
+// the candidate's own messages. prepareAbsorb precomputes, once per
 // absorption step, per-segment maxima over the member messages; each
 // (candidate, position) trial is then evaluated in O(deg(c)) instead of
 // O(n + m).
@@ -29,14 +29,54 @@ import (
 // surviving trial is re-evaluated with the exact rescan before it can win.
 const absorbEps = 1e-9
 
-// absorbScratch holds the per-segment aggregates for the current ring order
-// and its member-message set.
-type absorbScratch struct {
-	app    *netlist.Application
-	order  []netlist.NodeID
-	idx    map[netlist.NodeID]int
-	prefix []float64
-	perim  float64
+// arc is a message by its endpoints.
+type arc struct{ src, dst netlist.NodeID }
+
+// graph is the application's communication structure indexed by the dense
+// node IDs Validate guarantees. It is built once per SynthesizeContext and
+// shared read-only by every probe.
+type graph struct {
+	app     *netlist.Application
+	adj     [][]netlist.NodeID // sorted partners in either direction
+	out, in [][]netlist.NodeID // destinations / sources of each node's messages
+	active  []netlist.NodeID   // nodes with traffic, ascending
+}
+
+func newGraph(app *netlist.Application) *graph {
+	n := app.N()
+	g := &graph{app: app, adj: make([][]netlist.NodeID, n),
+		out: make([][]netlist.NodeID, n), in: make([][]netlist.NodeID, n)}
+	for _, m := range app.Messages {
+		g.out[m.Src] = append(g.out[m.Src], m.Dst)
+		g.in[m.Dst] = append(g.in[m.Dst], m.Src)
+	}
+	for v := range g.adj {
+		nb := slices.Concat(g.out[v], g.in[v])
+		slices.Sort(nb)
+		if g.adj[v] = slices.Compact(nb); len(nb) > 0 {
+			g.active = append(g.active, netlist.NodeID(v))
+		}
+	}
+	return g
+}
+
+// arena is one probe's scratch: the dense node sets and the buffers of the
+// absorption search, reused by every ring the probe grows. Each probe owns
+// its arena, so speculative probes share nothing mutable.
+//
+// pos and prefix index the ring being grown (see index); a node is on that
+// ring iff onRing holds, so pos never needs clearing. avail marks the nodes
+// still free at the current level (or, while an inter ring grows, not yet
+// on it) and cand the absorption candidates of the ring being grown; both
+// are all false between rings.
+type arena struct {
+	*graph
+	pos, tpos       []int
+	prefix, tprefix []float64
+	avail, cand     []bool
+	msgs            []arc // messages among the members of the ring being grown
+	cArcs           []arc // the current candidate's messages with the members
+	trial           []netlist.NodeID
 	// Per segment j (between order[j] and order[j+1]):
 	//   coverFwd[j]: max forward length over messages whose arc covers j
 	//                (these grow by delta when inserting into j);
@@ -51,93 +91,172 @@ type absorbScratch struct {
 	coverRev, freeRev []float64
 }
 
-func prepareAbsorb(app *netlist.Application, order []netlist.NodeID, msgs []netlist.Message) *absorbScratch {
+func newArena(g *graph) *arena {
+	n := g.app.N()
+	return &arena{graph: g, pos: make([]int, n), tpos: make([]int, n),
+		prefix: make([]float64, n+1), tprefix: make([]float64, n+1),
+		avail: make([]bool, n), cand: make([]bool, n), trial: make([]netlist.NodeID, 0, n),
+		coverFwd: make([]float64, n), freeFwd: make([]float64, n),
+		coverRev: make([]float64, n), freeRev: make([]float64, n)}
+}
+
+// index records each order node's ring position in pos and the ring's
+// prefix sums in prefix[:len(order)+1], associated in ring order.
+func index(app *netlist.Application, order []netlist.NodeID, pos []int, prefix []float64) {
 	n := len(order)
-	sc := &absorbScratch{
-		app:      app,
-		order:    order,
-		idx:      make(map[netlist.NodeID]int, n),
-		prefix:   make([]float64, n+1),
-		coverFwd: make([]float64, n),
-		freeFwd:  make([]float64, n),
-		coverRev: make([]float64, n),
-		freeRev:  make([]float64, n),
-	}
+	prefix[0] = 0
 	for i, id := range order {
-		sc.idx[id] = i
+		pos[id] = i
+		prefix[i+1] = prefix[i] + app.Pos(id).Manhattan(app.Pos(order[(i+1)%n]))
 	}
-	for i := 0; i < n; i++ {
-		next := order[(i+1)%n]
-		sc.prefix[i+1] = sc.prefix[i] + app.Pos(order[i]).Manhattan(app.Pos(next))
-	}
-	sc.perim = sc.prefix[n]
-	for j := 0; j < n; j++ {
-		sc.coverFwd[j] = math.Inf(-1)
-		sc.coverRev[j] = math.Inf(-1)
-	}
-	for _, m := range msgs {
-		si := sc.idx[m.Src]
-		di := sc.idx[m.Dst]
-		fwd := sc.prefix[di] - sc.prefix[si]
-		if fwd < 0 {
-			fwd += sc.perim
-		}
-		rev := sc.perim - fwd
-		for j := 0; j < n; j++ {
-			covered := ((j-si)%n+n)%n < ((di-si)%n+n)%n
-			if covered {
-				if fwd > sc.coverFwd[j] {
-					sc.coverFwd[j] = fwd
-				}
-				if rev > sc.freeRev[j] {
-					sc.freeRev[j] = rev
-				}
-			} else {
-				if fwd > sc.freeFwd[j] {
-					sc.freeFwd[j] = fwd
-				}
-				if rev > sc.coverRev[j] {
-					sc.coverRev[j] = rev
-				}
+}
+
+// onRing reports whether id is on the ring order indexed into pos.
+func onRing(order []netlist.NodeID, pos []int, id netlist.NodeID) bool {
+	p := pos[id]
+	return p >= 0 && p < len(order) && order[p] == id
+}
+
+// ringOrderLongest evaluates a node order carrying the given messages: the
+// longest directed path length, minimised over the two traversal
+// directions, and whether the order should be reversed to achieve it. It
+// indexes the order into pos and prefix (room for len(order)+1 sums) in
+// O(len + msgs); a message with an endpoint off the ring yields +Inf. This
+// is the exact rescan of the absorption search.
+func ringOrderLongest(app *netlist.Application, order []netlist.NodeID, pos []int, prefix []float64, msgs ...[]arc) (longest float64, reversed bool) {
+	n := len(order)
+	index(app, order, pos, prefix)
+	perimeter := prefix[n]
+	var lf, lr float64
+	for _, list := range msgs {
+		for _, m := range list {
+			if !onRing(order, pos, m.src) || !onRing(order, pos, m.dst) {
+				return math.Inf(1), false
+			}
+			fwd := prefix[pos[m.dst]] - prefix[pos[m.src]]
+			if fwd < 0 {
+				fwd += perimeter
+			}
+			if fwd > lf {
+				lf = fwd
+			}
+			if rev := perimeter - fwd; rev > lr {
+				lr = rev
 			}
 		}
 	}
-	return sc
+	if lr < lf {
+		return lr, true
+	}
+	return lf, false
 }
 
-// wrap maps a prefix-sum difference onto [0, perim).
-func (sc *absorbScratch) wrap(v float64) float64 {
-	if v < 0 {
-		return v + sc.perim
+// memberArcs appends c's messages to and from the members of the indexed
+// ring order.
+func (a *arena) memberArcs(dst []arc, order []netlist.NodeID, c netlist.NodeID) []arc {
+	for _, d := range a.out[c] {
+		if onRing(order, a.pos, d) {
+			dst = append(dst, arc{c, d})
+		}
 	}
-	return v
+	for _, s := range a.in[c] {
+		if onRing(order, a.pos, s) {
+			dst = append(dst, arc{s, c})
+		}
+	}
+	return dst
+}
+
+// pair starts a ring on v and u, collecting the messages between them.
+func (a *arena) pair(v, u netlist.NodeID) (order []netlist.NodeID, longest float64) {
+	order = []netlist.NodeID{v}
+	a.pos[v] = 0
+	a.msgs = a.memberArcs(a.msgs[:0], order, u)
+	order = append(order, u)
+	longest, _ = ringOrderLongest(a.app, order, a.pos, a.prefix, a.msgs)
+	return order, longest
+}
+
+// absorb inserts c after ring position at, extending the member messages
+// by c's and re-indexing the ring.
+func (a *arena) absorb(order []netlist.NodeID, c netlist.NodeID, at int) []netlist.NodeID {
+	a.msgs = a.memberArcs(a.msgs, order, c)
+	order = slices.Insert(order, at+1, c)
+	index(a.app, order, a.pos, a.prefix)
+	return order
+}
+
+// prepareAbsorb fills the per-segment maxima of the indexed ring order
+// (n nodes) over the member messages.
+func (a *arena) prepareAbsorb(n int) {
+	perim := a.prefix[n]
+	for j := 0; j < n; j++ {
+		a.coverFwd[j], a.freeFwd[j] = math.Inf(-1), 0
+		a.coverRev[j], a.freeRev[j] = math.Inf(-1), 0
+	}
+	for _, m := range a.msgs {
+		si, di := a.pos[m.src], a.pos[m.dst]
+		fwd := a.prefix[di] - a.prefix[si]
+		if fwd < 0 {
+			fwd += perim
+		}
+		rev := perim - fwd
+		span := di - si // the arc covers the span segments from si on
+		if span < 0 {
+			span += n
+		}
+		for k, j := 0, si; k < n; k++ {
+			if k < span {
+				if fwd > a.coverFwd[j] {
+					a.coverFwd[j] = fwd
+				}
+				if rev > a.freeRev[j] {
+					a.freeRev[j] = rev
+				}
+			} else {
+				if fwd > a.freeFwd[j] {
+					a.freeFwd[j] = fwd
+				}
+				if rev > a.coverRev[j] {
+					a.coverRev[j] = rev
+				}
+			}
+			if j++; j == n {
+				j = 0
+			}
+		}
+	}
 }
 
 // insertionLongest returns the longest signal path (minimised over the two
 // traversal directions) of the ring obtained by inserting candidate c into
-// segment pos, where cTo / cFrom hold the ring positions of the members c
-// sends to / receives from. Exact up to floating-point association order.
-func (sc *absorbScratch) insertionLongest(c netlist.NodeID, pos int, cTo, cFrom []int) float64 {
-	n := len(sc.order)
-	a := sc.order[pos]
-	b := sc.order[(pos+1)%n]
-	cPos := sc.app.Pos(c)
-	dac := sc.app.Pos(a).Manhattan(cPos)
-	dcb := cPos.Manhattan(sc.app.Pos(b))
-	delta := dac + dcb - (sc.prefix[pos+1] - sc.prefix[pos])
-	newPerim := sc.perim + delta
-
-	lf := sc.coverFwd[pos] + delta
-	if sc.freeFwd[pos] > lf {
-		lf = sc.freeFwd[pos]
-	}
-	lr := sc.coverRev[pos] + delta
-	if sc.freeRev[pos] > lr {
-		lr = sc.freeRev[pos]
+// segment pos of the indexed ring order, whose messages with the members
+// are in cArcs. Exact up to floating-point association order.
+func (a *arena) insertionLongest(order []netlist.NodeID, c netlist.NodeID, pos int) float64 {
+	n := len(order)
+	perim := a.prefix[n]
+	wrap := func(v float64) float64 { // onto [0, perim)
+		if v < 0 {
+			return v + perim
+		}
+		return v
 	}
 	bi := (pos + 1) % n
-	for _, xi := range cTo { // c -> member at position xi
-		f := dcb + sc.wrap(sc.prefix[xi]-sc.prefix[bi])
+	cPos := a.app.Pos(c)
+	dac := a.app.Pos(order[pos]).Manhattan(cPos)
+	dcb := cPos.Manhattan(a.app.Pos(order[bi]))
+	delta := dac + dcb - (a.prefix[pos+1] - a.prefix[pos])
+	newPerim := perim + delta
+
+	lf := max(a.coverFwd[pos]+delta, a.freeFwd[pos])
+	lr := max(a.coverRev[pos]+delta, a.freeRev[pos])
+	for _, m := range a.cArcs {
+		var f float64
+		if m.src == c { // c -> member
+			f = dcb + wrap(a.prefix[a.pos[m.dst]]-a.prefix[bi])
+		} else { // member -> c
+			f = wrap(a.prefix[pos]-a.prefix[a.pos[m.src]]) + dac
+		}
 		if f > lf {
 			lf = f
 		}
@@ -145,77 +264,35 @@ func (sc *absorbScratch) insertionLongest(c netlist.NodeID, pos int, cTo, cFrom 
 			lr = r
 		}
 	}
-	for _, xi := range cFrom { // member at position xi -> c
-		f := sc.wrap(sc.prefix[pos]-sc.prefix[xi]) + dac
-		if f > lf {
-			lf = f
-		}
-		if r := newPerim - f; r > lr {
-			lr = r
-		}
-	}
-	if lr < lf {
-		return lr
-	}
-	return lf
+	return min(lf, lr)
 }
 
-// bestAbsorption tries to absorb each candidate at each ring position
-// (replacing segment (order[i], order[i+1]) with two segments through the
-// candidate) and returns the valid absorption minimising the longest signal
-// path. Trials are screened with the incremental evaluator and only
-// survivors are re-scanned exactly, so the selection is bit-identical to
-// evaluating every trial with ringOrderLongest.
-func bestAbsorption(app *netlist.Application, order []netlist.NodeID,
-	members, candidates map[netlist.NodeID]bool, lmax float64) (newOrder []netlist.NodeID, longest float64, cand netlist.NodeID, ok bool) {
-
-	sortedCands := make([]netlist.NodeID, 0, len(candidates))
-	for c := range candidates {
-		sortedCands = append(sortedCands, c)
-	}
-	sort.Slice(sortedCands, func(i, j int) bool { return sortedCands[i] < sortedCands[j] })
-
-	sc := prepareAbsorb(app, order, messagesWithin(app, members))
-	// Ring positions of each candidate's messages to and from members.
-	cTo := make(map[netlist.NodeID][]int)
-	cFrom := make(map[netlist.NodeID][]int)
-	for _, m := range app.Messages {
-		if candidates[m.Src] && members[m.Dst] {
-			cTo[m.Src] = append(cTo[m.Src], sc.idx[m.Dst])
-		}
-		if members[m.Src] && candidates[m.Dst] {
-			cFrom[m.Dst] = append(cFrom[m.Dst], sc.idx[m.Src])
-		}
-	}
-
+// bestAbsorption tries to absorb each candidate (ascending ID) at each
+// position of the indexed ring order — inserting it after order[at] — and
+// returns the valid absorption minimising the longest signal path. Trials
+// are screened with the incremental evaluator and only survivors are
+// re-scanned exactly, so the selection is bit-identical to evaluating every
+// trial with ringOrderLongest.
+func (a *arena) bestAbsorption(order []netlist.NodeID, cands []bool, lmax float64) (cand netlist.NodeID, at int, longest float64, ok bool) {
+	n := len(order)
+	a.prepareAbsorb(n)
 	longest = math.Inf(1)
-	for _, c := range sortedCands {
-		var msgs []netlist.Message // lazily: messages within members ∪ {c}
-		for pos := 0; pos < len(order); pos++ {
-			bound := lmax
-			if longest < bound {
-				bound = longest
-			}
-			if sc.insertionLongest(c, pos, cTo[c], cFrom[c]) > bound+absorbEps {
+	for ci, isCand := range cands {
+		if !isCand {
+			continue
+		}
+		c := netlist.NodeID(ci)
+		a.cArcs = a.memberArcs(a.cArcs[:0], order, c)
+		for pos := 0; pos < n; pos++ {
+			if a.insertionLongest(order, c, pos) > min(lmax, longest)+absorbEps {
 				continue
 			}
-			if msgs == nil {
-				members[c] = true
-				msgs = messagesWithin(app, members)
-				delete(members, c)
-			}
-			trial := make([]netlist.NodeID, 0, len(order)+1)
-			trial = append(trial, order[:pos+1]...)
-			trial = append(trial, c)
-			trial = append(trial, order[pos+1:]...)
-			l, _ := ringOrderLongest(app, trial, msgs)
+			a.trial = append(append(append(a.trial[:0], order[:pos+1]...), c), order[pos+1:]...)
+			l, _ := ringOrderLongest(a.app, a.trial, a.tpos, a.tprefix, a.msgs, a.cArcs)
 			if l <= lmax && l < longest {
-				longest = l
-				newOrder = trial
-				cand = c
-				ok = true
+				longest, cand, at, ok = l, c, pos, true
 			}
 		}
 	}
-	return newOrder, longest, cand, ok
+	return cand, at, longest, ok
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -132,34 +133,36 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 
 	d1 := app.MaxCommDistance()
 	d2 := conventionalRingBound(app)
-	adj := app.Adjacency()
+	g := newGraph(app)
 	sp.SetInt("tree_height", int64(h))
 	sp.SetFloat("d1", d1)
 	sp.SetFloat("d2", d2)
 
-	// recordBound wraps one consumed candidate verdict in its own span, so
-	// the trace shows the whole descent in selection order regardless of
-	// when (or on which goroutine) the probe actually ran.
-	recordBound := func(lmax float64, sol *Result) {
+	// recordBound wraps one consumed candidate verdict in a span carrying
+	// the probe's own start and end, so the trace shows the whole descent in
+	// selection order regardless of when (or on which goroutine) the probe
+	// actually ran, and the bound spans account for the search's time.
+	recordBound := func(lmax float64, sol *Result, start, end time.Time) {
 		iters.Add(1)
-		bsp := sp.StartSpan("cluster.bound")
+		bsp := sp.SpanAt("cluster.bound", start, end)
 		bsp.SetFloat("lmax", lmax)
 		bsp.SetBool("feasible", sol != nil)
 		if sol != nil {
 			bsp.SetInt("clusters", int64(len(sol.Clusters)))
 		}
-		bsp.End()
 	}
 
 	// tryBound evaluates one L_max candidate inline (the sequential path,
-	// also used for the fallback bounds below).
+	// also used for the fallback bounds below) in one reused arena.
 	cfg := opt.hierConfig()
 	probeH := obs.OrDefault(opt.Registry).Histogram("cluster.probe.ns")
+	seq := newArena(g)
 	tryBound := func(lmax float64) *Result {
-		probeStart := time.Now()
-		sol := buildSolution(app, adj, lmax, opt.MaxInitialTrials, absorb, cfg)
-		probeH.RecordSince(probeStart)
-		recordBound(lmax, sol)
+		start := time.Now()
+		sol := buildSolution(seq, lmax, opt.MaxInitialTrials, absorb, cfg)
+		end := time.Now()
+		probeH.RecordDuration(end.Sub(start))
+		recordBound(lmax, sol, start, end)
 		return sol
 	}
 
@@ -172,7 +175,7 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	}
 	var pb *prober
 	if workers := resolveSpecWorkers(opt.Parallelism); workers > 1 {
-		pb = newProber(app, adj, opt.MaxInitialTrials, cfg, valueAt, workers, probeH)
+		pb = newProber(g, opt.MaxInitialTrials, cfg, valueAt, workers, probeH)
 		defer pb.close(sp.Recorder())
 	}
 	var best *Result
@@ -190,10 +193,10 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 		var sol *Result
 		if pb != nil {
 			pb.speculate(lo, hi)
-			var absorbs int64
-			sol, absorbs = pb.get(mid)
-			absorb.Add(absorbs)
-			recordBound(lmax, sol)
+			pr := pb.get(mid)
+			sol = pr.sol
+			absorb.Add(pr.absorbs.Value())
+			recordBound(lmax, sol, pr.start, pr.end)
 		} else {
 			sol = tryBound(lmax)
 		}
@@ -277,127 +280,80 @@ func conventionalRingBound(app *netlist.Application) float64 {
 	return worst
 }
 
-// ringOrderLongest evaluates a candidate node order carrying the given
-// messages: the longest directed path length, minimised over the two
-// traversal directions. It returns the longest path and whether the order
-// should be reversed to achieve it.
-//
-// Implemented with prefix sums over the cycle (O(len + msgs)); this is the
-// inner loop of the absorption search.
-func ringOrderLongest(app *netlist.Application, order []netlist.NodeID, msgs []netlist.Message) (longest float64, reversed bool) {
-	if len(msgs) == 0 {
-		return 0, false
-	}
-	n := len(order)
-	idx := make(map[netlist.NodeID]int, n)
-	for i, id := range order {
-		idx[id] = i
-	}
-	prefix := make([]float64, n+1)
-	for i := 0; i < n; i++ {
-		next := order[(i+1)%n]
-		prefix[i+1] = prefix[i] + app.Pos(order[i]).Manhattan(app.Pos(next))
-	}
-	perimeter := prefix[n]
-	var lf, lr float64
-	for _, m := range msgs {
-		si, ok1 := idx[m.Src]
-		di, ok2 := idx[m.Dst]
-		if !ok1 || !ok2 || si == di {
-			return math.Inf(1), false
-		}
-		fwd := prefix[di] - prefix[si]
-		if fwd < 0 {
-			fwd += perimeter
-		}
-		lf = math.Max(lf, fwd)
-		lr = math.Max(lr, perimeter-fwd)
-	}
-	if lr < lf {
-		return lr, true
-	}
-	return lf, false
-}
-
-// messagesWithin returns the app messages whose endpoints both lie in set.
-func messagesWithin(app *netlist.Application, set map[netlist.NodeID]bool) []netlist.Message {
-	var out []netlist.Message
-	for _, m := range app.Messages {
-		if set[m.Src] && set[m.Dst] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// grown is a grown sub-ring candidate.
+// grown is a grown sub-ring candidate: its ring order, or just the initial
+// vertex for a singleton, and the longest signal path on it.
 type grown struct {
 	order   []netlist.NodeID
-	members map[netlist.NodeID]bool
 	longest float64
 }
 
 // growCluster grows an intra-cluster sub-ring from the initial vertex under
 // lmax, absorbing communication-adjacent available vertices. A vertex with
-// no available neighbours yields a singleton (order nil).
-func growCluster(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	initial netlist.NodeID, avail map[netlist.NodeID]bool, lmax float64, absorb *obs.Counter) grown {
-
-	members := map[netlist.NodeID]bool{initial: true}
+// no available neighbours yields a singleton.
+func (a *arena) growCluster(initial netlist.NodeID, lmax float64, absorb *obs.Counter) grown {
 	// Nearest available communication partner forms the initial cluster.
-	var nearest netlist.NodeID = -1
-	bestDist := math.Inf(1)
-	for _, u := range adj[initial] {
-		if !avail[u] {
-			continue
-		}
-		d := app.Pos(initial).Manhattan(app.Pos(u))
-		if d < bestDist || (d == bestDist && (nearest < 0 || u < nearest)) {
-			nearest, bestDist = u, d
-		}
-	}
+	nearest := a.nearest(initial, a.adj[initial])
 	if nearest < 0 {
-		return grown{members: members}
+		return grown{order: []netlist.NodeID{initial}}
 	}
-	members[nearest] = true
-	order := []netlist.NodeID{initial, nearest}
-	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members))
+	order, longest := a.pair(initial, nearest)
 	if longest > lmax {
 		// Cannot even pair with the nearest partner: singleton. (Possible
 		// only for L_max below d1, which the search range excludes, but we
 		// guard anyway.)
-		return grown{members: map[netlist.NodeID]bool{initial: true}}
+		return grown{order: []netlist.NodeID{initial}}
 	}
 
-	candidates := make(map[netlist.NodeID]bool)
-	addCandidates := func(v netlist.NodeID) {
-		for _, u := range adj[v] {
-			if avail[u] && !members[u] {
-				candidates[u] = true
-			}
-		}
-	}
-	addCandidates(initial)
-	addCandidates(nearest)
-
-	for len(candidates) > 0 {
-		order2, longest2, cand, ok := bestAbsorption(app, order, members, candidates, lmax)
+	ncand := a.addCandidates(order, initial) + a.addCandidates(order, nearest)
+	for ncand > 0 {
+		cand, at, longest2, ok := a.bestAbsorption(order, a.cand, lmax)
 		if !ok {
 			break
 		}
-		order = order2
+		order = a.absorb(order, cand, at)
 		longest = longest2
-		members[cand] = true
 		absorb.Add(1)
-		delete(candidates, cand)
-		addCandidates(cand)
-		for u := range candidates {
-			if members[u] {
-				delete(candidates, u)
-			}
+		a.cand[cand] = false
+		ncand += a.addCandidates(order, cand) - 1
+	}
+	// Every candidate left is a partner of a member: clear them all so cand
+	// is all false for the next ring.
+	for _, v := range order {
+		for _, u := range a.adj[v] {
+			a.cand[u] = false
 		}
 	}
-	return grown{order: order, members: members, longest: longest}
+	return grown{order: order, longest: longest}
+}
+
+// nearest returns the available node in from closest to v (ties: smaller
+// ID), or -1 if none is available.
+func (a *arena) nearest(v netlist.NodeID, from []netlist.NodeID) netlist.NodeID {
+	var best netlist.NodeID = -1
+	bestDist := math.Inf(1)
+	for _, u := range from {
+		if !a.avail[u] {
+			continue
+		}
+		d := a.app.Pos(v).Manhattan(a.app.Pos(u))
+		if d < bestDist || (d == bestDist && (best < 0 || u < best)) {
+			best, bestDist = u, d
+		}
+	}
+	return best
+}
+
+// addCandidates marks v's available partners off the indexed ring order as
+// absorption candidates and returns how many it newly marked.
+func (a *arena) addCandidates(order []netlist.NodeID, v netlist.NodeID) int {
+	k := 0
+	for _, u := range a.adj[v] {
+		if a.avail[u] && !a.cand[u] && !onRing(order, a.pos, u) {
+			a.cand[u] = true
+			k++
+		}
+	}
+	return k
 }
 
 // hierConfig resolves the multi-level options for buildSolution.
@@ -433,43 +389,38 @@ type levelGroups struct {
 	groups []grown
 }
 
-// growLevel partitions the given node set into grown sub-rings under lmax:
-// rounds of trying each available vertex as the initial vertex and keeping
-// the best grown ring (the paper's cluster-formation loop, reused verbatim
-// at every hierarchy level).
-func growLevel(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	nodes map[netlist.NodeID]bool, lmax float64, maxTrials int, absorb *obs.Counter) []grown {
-
-	avail := make(map[netlist.NodeID]bool, len(nodes))
-	for id := range nodes {
-		avail[id] = true
+// growLevel partitions the given node set (ascending) into grown sub-rings
+// under lmax: rounds of trying each available vertex as the initial vertex
+// and keeping the best grown ring (the paper's cluster-formation loop,
+// reused verbatim at every hierarchy level).
+func (a *arena) growLevel(nodes []netlist.NodeID, lmax float64, maxTrials int, absorb *obs.Counter) []grown {
+	for _, id := range nodes {
+		a.avail[id] = true
 	}
 	var out []grown
-	for len(avail) > 0 {
-		ids := make([]netlist.NodeID, 0, len(avail))
-		for id := range avail {
-			ids = append(ids, id)
+	ids := make([]netlist.NodeID, 0, len(nodes))
+	for left := len(nodes); left > 0; {
+		ids = ids[:0]
+		for _, id := range nodes {
+			if a.avail[id] {
+				ids = append(ids, id)
+			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 		// Try each available vertex as the initial vertex; keep the grown
 		// cluster with the shortest longest signal path (ties: larger
 		// cluster, then smaller initial ID). MaxInitialTrials caps the
 		// candidate set for large networks.
-		trials := sampleTrials(ids, maxTrials)
 		var best grown
-		haveBest := false
-		for _, v := range trials {
-			g := growCluster(app, adj, v, avail, lmax, absorb)
-			if !haveBest || better(g, best) {
+		for i, v := range sampleTrials(ids, maxTrials) {
+			if g := a.growCluster(v, lmax, absorb); i == 0 || better(g, best) {
 				best = g
-				haveBest = true
 			}
 		}
 		out = append(out, best)
-		for m := range best.members {
-			delete(avail, m)
+		for _, m := range best.order {
+			a.avail[m] = false
 		}
+		left -= len(best.order)
 	}
 	return out
 }
@@ -488,11 +439,15 @@ func sampleTrials(ids []netlist.NodeID, maxTrials int) []netlist.NodeID {
 	return sampled
 }
 
-// groupIndex maps every member of every group to its group's index.
-func groupIndex(groups []grown) map[netlist.NodeID]int {
-	of := make(map[netlist.NodeID]int)
+// groupIndex maps every member of every group to its group's index, and
+// every other node to -1.
+func (a *arena) groupIndex(groups []grown) []int {
+	of := make([]int, a.app.N())
+	for i := range of {
+		of[i] = -1
+	}
 	for gi, g := range groups {
-		for m := range g.members {
+		for _, m := range g.order {
 			of[m] = gi
 		}
 	}
@@ -513,13 +468,10 @@ func groupIndex(groups []grown) map[netlist.NodeID]int {
 // paper's inter-ring construction verbatim. Every node therefore sends on
 // at most one ring per level it appears in, the multi-level extension of
 // the paper's ≤2-senders invariant.
-func buildSolution(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID, lmax float64, maxTrials int, absorb *obs.Counter, cfg hierConfig) *Result {
-	active := make(map[netlist.NodeID]bool)
-	for _, id := range app.ActiveNodes() {
-		active[id] = true
-	}
-	clusters := growLevel(app, adj, active, lmax, maxTrials, absorb)
-	clusterOf := groupIndex(clusters)
+func buildSolution(a *arena, lmax float64, maxTrials int, absorb *obs.Counter, cfg hierConfig) *Result {
+	app := a.app
+	clusters := a.growLevel(a.active, lmax, maxTrials, absorb)
+	clusterOf := a.groupIndex(clusters)
 
 	// Messages crossing clusters escalate to level 1.
 	var pool []int
@@ -531,53 +483,44 @@ func buildSolution(app *netlist.Application, adj map[netlist.NodeID][]netlist.No
 
 	var upper []levelGroups
 	for level := 1; len(pool) > 0; level++ {
-		nodes := make(map[netlist.NodeID]bool)
+		inPool := make([]bool, app.N())
 		for _, i := range pool {
-			nodes[app.Messages[i].Src] = true
-			nodes[app.Messages[i].Dst] = true
+			inPool[app.Messages[i].Src], inPool[app.Messages[i].Dst] = true, true
 		}
-		if len(nodes) <= cfg.interMax || level >= cfg.maxLevels {
-			order := buildInterRing(app, nodes, lmax, maxTrials, absorb)
-			if order == nil {
-				return nil // no valid initial vertex: solution invalid
-			}
-			members := make(map[netlist.NodeID]bool, len(order))
-			for _, id := range order {
-				members[id] = true
-			}
-			upper = append(upper, levelGroups{pool: pool, groups: []grown{{order: order, members: members}}})
-			break
-		}
-		// Too many escalated nodes for one ring: partition them into a
-		// further level of sub-rings and escalate what still crosses.
-		groups := growLevel(app, adj, nodes, lmax, maxTrials, absorb)
-		groupOf := groupIndex(groups)
-		var next []int
-		for _, i := range pool {
-			m := app.Messages[i]
-			if groupOf[m.Src] != groupOf[m.Dst] {
-				next = append(next, i)
+		var nodes []netlist.NodeID
+		for id, ok := range inPool {
+			if ok {
+				nodes = append(nodes, netlist.NodeID(id))
 			}
 		}
-		if len(next) == len(pool) {
-			// No message was absorbed at this level: grouping made no
-			// progress, so fall back to the terminal single ring.
-			order := buildInterRing(app, nodes, lmax, maxTrials, absorb)
-			if order == nil {
-				return nil
+		if len(nodes) > cfg.interMax && level < cfg.maxLevels {
+			// Too many escalated nodes for one ring: partition them into a
+			// further level of sub-rings and escalate what still crosses.
+			groups := a.growLevel(nodes, lmax, maxTrials, absorb)
+			groupOf := a.groupIndex(groups)
+			var next []int
+			for _, i := range pool {
+				if m := app.Messages[i]; groupOf[m.Src] != groupOf[m.Dst] {
+					next = append(next, i)
+				}
 			}
-			members := make(map[netlist.NodeID]bool, len(order))
-			for _, id := range order {
-				members[id] = true
+			// If no message was absorbed at this level, grouping made no
+			// progress: fall back to the terminal single ring.
+			if len(next) < len(pool) {
+				upper = append(upper, levelGroups{pool: pool, groups: groups})
+				pool = next
+				continue
 			}
-			upper = append(upper, levelGroups{pool: pool, groups: []grown{{order: order, members: members}}})
-			break
 		}
-		upper = append(upper, levelGroups{pool: pool, groups: groups})
-		pool = next
+		order := a.buildInterRing(nodes, lmax, maxTrials, absorb)
+		if order == nil {
+			return nil // no valid initial vertex: solution invalid
+		}
+		upper = append(upper, levelGroups{pool: pool, groups: []grown{{order: order}}})
+		break
 	}
 
-	return assembleResult(app, clusters, clusterOf, upper)
+	return a.assembleResult(clusters, clusterOf, upper)
 }
 
 // better orders grown clusters: shorter longest path wins, then more
@@ -586,57 +529,24 @@ func better(a, b grown) bool {
 	if a.longest != b.longest {
 		return a.longest < b.longest
 	}
-	if len(a.members) != len(b.members) {
-		return len(a.members) > len(b.members)
+	if len(a.order) != len(b.order) {
+		return len(a.order) > len(b.order)
 	}
-	return minID(a.members) < minID(b.members)
+	return slices.Min(a.order) < slices.Min(b.order)
 }
 
-func minID(set map[netlist.NodeID]bool) netlist.NodeID {
-	min := netlist.NodeID(math.MaxInt32)
-	for id := range set {
-		if id < min {
-			min = id
-		}
-	}
-	return min
-}
-
-// buildInterRing constructs the inter-cluster sub-ring over all interNodes.
-// Every node in the set must be absorbed; each is tried as the initial
-// vertex and the valid ring with the shortest longest path wins. Returns
-// nil if no initial vertex yields a valid complete ring.
-func buildInterRing(app *netlist.Application, interNodes map[netlist.NodeID]bool, lmax float64, maxTrials int, absorb *obs.Counter) []netlist.NodeID {
-	ids := make([]netlist.NodeID, 0, len(interNodes))
-	for id := range interNodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if len(ids) < 2 {
+// buildInterRing constructs the inter-cluster sub-ring over all interNodes
+// (ascending). Every node in the set must be absorbed; each is tried as the
+// initial vertex and the valid ring with the shortest longest path wins.
+// Returns nil if no initial vertex yields a valid complete ring.
+func (a *arena) buildInterRing(interNodes []netlist.NodeID, lmax float64, maxTrials int, absorb *obs.Counter) []netlist.NodeID {
+	if len(interNodes) < 2 {
 		return nil
-	}
-
-	interMsgs := make(map[netlist.NodeID][]netlist.NodeID) // adjacency in the inter graph
-	for _, m := range app.Messages {
-		if interNodes[m.Src] && interNodes[m.Dst] {
-			interMsgs[m.Src] = append(interMsgs[m.Src], m.Dst)
-			interMsgs[m.Dst] = append(interMsgs[m.Dst], m.Src)
-		}
-	}
-
-	trials := ids
-	if maxTrials > 0 && len(trials) > maxTrials {
-		sampled := make([]netlist.NodeID, 0, maxTrials)
-		step := float64(len(trials)) / float64(maxTrials)
-		for k := 0; k < maxTrials; k++ {
-			sampled = append(sampled, trials[int(float64(k)*step)])
-		}
-		trials = sampled
 	}
 	var bestOrder []netlist.NodeID
 	bestLongest := math.Inf(1)
-	for _, v := range trials {
-		order, longest, ok := growInter(app, interMsgs, v, ids, lmax, absorb)
+	for _, v := range sampleTrials(interNodes, maxTrials) {
+		order, longest, ok := a.growInter(v, interNodes, lmax, absorb)
 		if ok && longest < bestLongest {
 			bestOrder, bestLongest = order, longest
 		}
@@ -646,73 +556,54 @@ func buildInterRing(app *netlist.Application, interNodes map[netlist.NodeID]bool
 
 // growInter grows the inter ring from initial, absorbing adjacent inter
 // nodes first and falling back to the remaining ones, until all inter nodes
-// are on the ring or no valid absorption exists.
-func growInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	initial netlist.NodeID, all []netlist.NodeID, lmax float64, absorb *obs.Counter) ([]netlist.NodeID, float64, bool) {
-
-	members := map[netlist.NodeID]bool{initial: true}
-	remaining := make(map[netlist.NodeID]bool)
+// are on the ring or no valid absorption exists. Partners are looked up in
+// the whole communication graph: only the remaining (inter) nodes are ever
+// considered, so this equals the inter graph's adjacency.
+func (a *arena) growInter(initial netlist.NodeID, all []netlist.NodeID, lmax float64, absorb *obs.Counter) ([]netlist.NodeID, float64, bool) {
+	// avail marks the remaining nodes while the inter ring grows.
 	for _, id := range all {
-		if id != initial {
-			remaining[id] = true
-		}
+		a.avail[id] = id != initial
 	}
+	defer func() {
+		for _, id := range all {
+			a.avail[id], a.cand[id] = false, false
+		}
+	}()
 	// Nearest partner (adjacent preferred, else nearest remaining).
-	pick := func(from []netlist.NodeID) (netlist.NodeID, bool) {
-		var nearest netlist.NodeID = -1
-		bestDist := math.Inf(1)
-		for _, u := range from {
-			if !remaining[u] {
-				continue
-			}
-			d := app.Pos(initial).Manhattan(app.Pos(u))
-			if d < bestDist || (d == bestDist && (nearest < 0 || u < nearest)) {
-				nearest, bestDist = u, d
-			}
-		}
-		return nearest, nearest >= 0
-	}
-	first, ok := pick(adj[initial])
-	if !ok {
-		first, ok = pick(all)
-		if !ok {
+	first := a.nearest(initial, a.adj[initial])
+	if first < 0 {
+		if first = a.nearest(initial, all); first < 0 {
 			return nil, 0, false
 		}
 	}
-	members[first] = true
-	delete(remaining, first)
-	order := []netlist.NodeID{initial, first}
-	longest, _ := ringOrderLongest(app, order, messagesWithin(app, members))
+	a.avail[first] = false
+	order, longest := a.pair(initial, first)
 	if longest > lmax {
 		return nil, 0, false
 	}
 
-	for len(remaining) > 0 {
-		// Candidates: remaining nodes adjacent to a member; if none, all
-		// remaining (the inter graph may be disconnected, but a single
-		// ring must still carry everything).
-		candidates := make(map[netlist.NodeID]bool)
-		for m := range members {
-			for _, u := range adj[m] {
-				if remaining[u] {
-					candidates[u] = true
-				}
-			}
+	// Candidates: remaining nodes adjacent to a member; if none, all
+	// remaining (the inter graph may be disconnected, but a single ring
+	// must still carry everything).
+	ncand := a.addCandidates(order, initial) + a.addCandidates(order, first)
+	for left := len(all) - 2; left > 0; left-- {
+		cands := a.cand
+		if ncand == 0 {
+			cands = a.avail
 		}
-		if len(candidates) == 0 {
-			for u := range remaining {
-				candidates[u] = true
-			}
-		}
-		order2, longest2, cand, ok := bestAbsorption(app, order, members, candidates, lmax)
+		cand, at, longest2, ok := a.bestAbsorption(order, cands, lmax)
 		if !ok {
 			return nil, 0, false // stuck before absorbing everyone
 		}
-		order = order2
+		order = a.absorb(order, cand, at)
 		longest = longest2
-		members[cand] = true
 		absorb.Add(1)
-		delete(remaining, cand)
+		a.avail[cand] = false
+		if a.cand[cand] {
+			a.cand[cand] = false
+			ncand--
+		}
+		ncand += a.addCandidates(order, cand)
 	}
 	return order, longest, true
 }
@@ -720,27 +611,26 @@ func growInter(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID
 // assembleResult freezes clusters and the escalation levels into a Result,
 // fixing each ring's direction to the one minimising its longest signal
 // path over the messages it carries.
-func assembleResult(app *netlist.Application, clusters []grown, clusterOf map[netlist.NodeID]int, upper []levelGroups) *Result {
+func (a *arena) assembleResult(clusters []grown, clusterOf []int, upper []levelGroups) *Result {
+	app := a.app
 	res := &Result{}
-	ringID := 0
-	intraRingOf := make(map[int]int) // cluster index -> ring ID
+	intraRingOf := make([]int, len(clusters)) // cluster index -> ring ID
 	for ci, g := range clusters {
-		memberList := make([]netlist.NodeID, 0, len(g.members))
-		for m := range g.members {
-			memberList = append(memberList, m)
-		}
-		sort.Slice(memberList, func(i, j int) bool { return memberList[i] < memberList[j] })
-		res.Clusters = append(res.Clusters, memberList)
+		members := slices.Clone(g.order)
+		slices.Sort(members)
+		res.Clusters = append(res.Clusters, members)
+		intraRingOf[ci] = -1
 		if len(g.order) >= 2 {
-			order := g.order
-			if _, rev := ringOrderLongest(app, order, messagesWithin(app, g.members)); rev {
-				order = (&ring.Ring{Order: order}).Reversed().Order
+			a.msgs = a.msgs[:0]
+			for _, v := range g.order {
+				for _, d := range a.out[v] {
+					if clusterOf[d] == ci {
+						a.msgs = append(a.msgs, arc{v, d})
+					}
+				}
 			}
-			res.Rings = append(res.Rings, &ring.Ring{ID: ringID, Kind: ring.Intra, Order: order})
-			intraRingOf[ci] = ringID
-			ringID++
-		} else {
-			intraRingOf[ci] = -1
+			intraRingOf[ci] = len(res.Rings)
+			res.Rings = append(res.Rings, a.freeze(g.order, ring.Intra, 0, len(res.Rings), a.msgs))
 		}
 	}
 	sort.Slice(res.Clusters, func(i, j int) bool { return res.Clusters[i][0] < res.Clusters[j][0] })
@@ -748,33 +638,35 @@ func assembleResult(app *netlist.Application, clusters []grown, clusterOf map[ne
 	// Escalation-level rings, level by level in group-formation order. A
 	// group ring materialises only if it carries at least one escalated
 	// message; a group whose members reached it only through already-carried
-	// traffic would waste a sender per member.
-	type upperRing struct {
-		members map[netlist.NodeID]bool
-		ring    *ring.Ring
-	}
-	levels := make([][]upperRing, len(upper))
+	// traffic would waste a sender per member. ringAt[level][node] is the
+	// ring carrying the node's group at that level, -1 if none.
+	firstUpper := len(res.Rings)
+	ringAt := make([][]int, len(upper))
 	for li, lv := range upper {
-		for _, g := range lv.groups {
+		groupOf := a.groupIndex(lv.groups)
+		ringAt[li] = a.groupIndex(nil) // all -1
+		for gi, g := range lv.groups {
 			if len(g.order) < 2 {
 				continue
 			}
-			carried := poolWithin(app, lv.pool, g.members)
-			if len(carried) == 0 {
+			a.msgs = a.msgs[:0]
+			for _, i := range lv.pool {
+				if m := app.Messages[i]; groupOf[m.Src] == gi && groupOf[m.Dst] == gi {
+					a.msgs = append(a.msgs, arc{m.Src, m.Dst})
+				}
+			}
+			if len(a.msgs) == 0 {
 				continue
 			}
-			order := g.order
-			if _, rev := ringOrderLongest(app, order, carried); rev {
-				order = (&ring.Ring{Order: order}).Reversed().Order
-			}
-			r := &ring.Ring{ID: ringID, Kind: ring.Inter, Level: li + 1, Order: order}
+			r := a.freeze(g.order, ring.Inter, li+1, len(res.Rings), a.msgs)
 			res.Rings = append(res.Rings, r)
-			levels[li] = append(levels[li], upperRing{members: g.members, ring: r})
-			ringID++
+			for _, v := range g.order {
+				ringAt[li][v] = r.ID
+			}
 		}
 	}
-	if len(upper) == 1 && len(levels[0]) == 1 {
-		res.InterRing = levels[0][0].ring
+	if len(upper) == 1 && len(res.Rings) == firstUpper+1 {
+		res.InterRing = res.Rings[firstUpper]
 	}
 
 	res.RingForMessage = make([]int, len(app.Messages))
@@ -785,14 +677,9 @@ func assembleResult(app *netlist.Application, clusters []grown, clusterOf map[ne
 		}
 		// Carried at the lowest level where both endpoints share a group.
 		res.RingForMessage[i] = -1 // cannot happen: the terminal ring holds everyone
-		for _, refs := range levels {
-			for _, ref := range refs {
-				if ref.members[m.Src] && ref.members[m.Dst] {
-					res.RingForMessage[i] = ref.ring.ID
-					break
-				}
-			}
-			if res.RingForMessage[i] >= 0 {
+		for _, at := range ringAt {
+			if rid := at[m.Src]; rid >= 0 && rid == at[m.Dst] {
+				res.RingForMessage[i] = rid
 				break
 			}
 		}
@@ -804,15 +691,11 @@ func assembleResult(app *netlist.Application, clusters []grown, clusterOf map[ne
 	return res
 }
 
-// poolWithin returns the pool messages (by index) whose endpoints both lie
-// in set, in message order.
-func poolWithin(app *netlist.Application, pool []int, set map[netlist.NodeID]bool) []netlist.Message {
-	var out []netlist.Message
-	for _, i := range pool {
-		m := app.Messages[i]
-		if set[m.Src] && set[m.Dst] {
-			out = append(out, m)
-		}
+// freeze makes ring id from order, reversed if that shortens the longest
+// signal path over the messages it carries.
+func (a *arena) freeze(order []netlist.NodeID, kind ring.Kind, level, id int, carried []arc) *ring.Ring {
+	if _, rev := ringOrderLongest(a.app, order, a.pos, a.prefix, carried); rev {
+		order = (&ring.Ring{Order: order}).Reversed().Order
 	}
-	return out
+	return &ring.Ring{ID: id, Kind: kind, Level: level, Order: order}
 }

@@ -212,6 +212,15 @@ func TestTreeHeightTradeoff(t *testing.T) {
 	}
 }
 
+// longestOf runs ringOrderLongest on fresh index buffers.
+func longestOf(app *netlist.Application, order []netlist.NodeID, msgs []netlist.Message) (float64, bool) {
+	arcs := make([]arc, len(msgs))
+	for i, m := range msgs {
+		arcs[i] = arc{m.Src, m.Dst}
+	}
+	return ringOrderLongest(app, order, make([]int, app.N()), make([]float64, app.N()+1), arcs)
+}
+
 func TestRingOrderLongest(t *testing.T) {
 	app := &netlist.Application{
 		Nodes: []netlist.Node{
@@ -223,22 +232,22 @@ func TestRingOrderLongest(t *testing.T) {
 	}
 	order := []netlist.NodeID{0, 1, 2, 3}
 	// Single message 0->3: forward goes the long way (3), reverse is 1.
-	l, rev := ringOrderLongest(app, order, []netlist.Message{{Src: 0, Dst: 3}})
+	l, rev := longestOf(app, order, []netlist.Message{{Src: 0, Dst: 3}})
 	if math.Abs(l-1) > 1e-9 || !rev {
 		t.Errorf("got (%v, %v), want (1, true)", l, rev)
 	}
 	// Opposing messages: both directions yield max 3.
-	l, _ = ringOrderLongest(app, order, []netlist.Message{{Src: 0, Dst: 3}, {Src: 3, Dst: 0}})
+	l, _ = longestOf(app, order, []netlist.Message{{Src: 0, Dst: 3}, {Src: 3, Dst: 0}})
 	if math.Abs(l-3) > 1e-9 {
 		t.Errorf("opposing messages longest = %v, want 3", l)
 	}
 	// Node off the order: infeasible.
-	l, _ = ringOrderLongest(app, order[:2], []netlist.Message{{Src: 0, Dst: 3}})
+	l, _ = longestOf(app, order[:2], []netlist.Message{{Src: 0, Dst: 3}})
 	if !math.IsInf(l, 1) {
 		t.Errorf("off-ring message longest = %v, want +Inf", l)
 	}
 	// No messages: zero.
-	if l, _ := ringOrderLongest(app, order, nil); l != 0 {
+	if l, _ := longestOf(app, order, nil); l != 0 {
 		t.Errorf("no-message longest = %v, want 0", l)
 	}
 }
@@ -260,7 +269,7 @@ func TestRingOrderLongestMatchesRingPathLength(t *testing.T) {
 		lr = math.Max(lr, b)
 	}
 	want := math.Min(lf, lr)
-	got, _ := ringOrderLongest(app, order, app.Messages)
+	got, _ := longestOf(app, order, app.Messages)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("fast path %v, reference %v", got, want)
 	}
@@ -281,24 +290,26 @@ func TestBestAbsorptionPicksMinimalIncrease(t *testing.T) {
 			{Src: 1, Dst: 2}, {Src: 3, Dst: 0},
 		},
 	}
-	order := []netlist.NodeID{1, 0} // initial cluster {v2, v1}
-	members := map[netlist.NodeID]bool{0: true, 1: true}
-	candidates := map[netlist.NodeID]bool{2: true, 3: true}
-	newOrder, longest, cand, ok := bestAbsorption(app, order, members, candidates, 8)
+	// Initial cluster {v2, v1} as ring order (1, 0), candidates v3 and v5.
+	a := newArena(newGraph(app))
+	order, _ := a.pair(1, 0)
+	cands := []bool{false, false, true, true}
+	cand, at, longest, ok := a.bestAbsorption(order, cands, 8)
 	if !ok {
 		t.Fatal("no valid absorption found")
 	}
 	if cand != 2 {
 		t.Errorf("absorbed %d, want 2 (the closer candidate)", cand)
 	}
-	if len(newOrder) != 3 {
+	if newOrder := a.absorb(order, cand, at); len(newOrder) != 3 {
 		t.Errorf("order = %v", newOrder)
 	}
 	if longest >= 8 {
 		t.Errorf("longest = %v, want < Lmax", longest)
 	}
 	// With a tight L_max, neither absorption is valid.
-	_, _, _, ok = bestAbsorption(app, order, members, candidates, 0.5)
+	order, _ = a.pair(1, 0)
+	_, _, _, ok = a.bestAbsorption(order, cands, 0.5)
 	if ok {
 		t.Error("absorption valid under impossible L_max")
 	}
@@ -312,11 +323,12 @@ func TestGrowClusterSingleton(t *testing.T) {
 		},
 		Messages: []netlist.Message{{Src: 0, Dst: 1}},
 	}
-	adj := app.Adjacency()
+	a := newArena(newGraph(app))
+	a.avail[0] = true
 	// Node 0's only partner is unavailable: singleton.
-	g := growCluster(app, adj, 0, map[netlist.NodeID]bool{0: true}, 10, nil)
-	if g.order != nil || len(g.members) != 1 {
-		t.Errorf("expected singleton, got order=%v members=%v", g.order, g.members)
+	g := a.growCluster(0, 10, nil)
+	if len(g.order) != 1 || g.order[0] != 0 {
+		t.Errorf("expected singleton {0}, got order=%v", g.order)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"sring/internal/netlist"
 	"sring/internal/obs"
 	"sring/internal/par"
 )
@@ -17,18 +16,21 @@ import (
 var resolveSpecWorkers = par.ResolveSpeculative
 
 // probe is one speculative buildSolution run for a candidate L_max index.
-// The goroutine writes sol and its local absorption count, then closes done;
-// the channel close orders those writes before the search loop's reads.
+// The goroutine writes sol, its local absorption count and its start and
+// end times, then closes done; the channel close orders those writes before
+// the search loop's reads.
 type probe struct {
-	done    chan struct{}
-	sol     *Result
-	absorbs obs.Counter
+	done       chan struct{}
+	sol        *Result
+	absorbs    obs.Counter
+	start, end time.Time
 }
 
 // prober runs L_max feasibility probes concurrently while the binary search
 // keeps its exact sequential descent. buildSolution is a pure function of
-// (app, adj, lmax, maxTrials, cfg), so probing a candidate early cannot change
-// its verdict — only when it is computed. At every search step the prober
+// (graph, lmax, maxTrials, cfg) and each probe grows its rings in an arena
+// of its own, so probing a candidate early cannot change its verdict —
+// only when it is computed. At every search step the prober
 // speculatively starts the probes the descent could visit next (the
 // candidate's BST subtree, breadth-first: both children before either
 // grandchild), and the search consumes verdicts strictly in its own order,
@@ -36,8 +38,7 @@ type probe struct {
 // span match the sequential run exactly. Only the cluster.spec.* counters
 // are timing-dependent.
 type prober struct {
-	app       *netlist.Application
-	adj       map[netlist.NodeID][]netlist.NodeID
+	g         *graph
 	maxTrials int
 	cfg       hierConfig
 	valueAt   func(k int) float64
@@ -50,11 +51,9 @@ type prober struct {
 	consumed  int64
 }
 
-func newProber(app *netlist.Application, adj map[netlist.NodeID][]netlist.NodeID,
-	maxTrials int, cfg hierConfig, valueAt func(k int) float64, workers int, probeH *obs.Histogram) *prober {
+func newProber(g *graph, maxTrials int, cfg hierConfig, valueAt func(k int) float64, workers int, probeH *obs.Histogram) *prober {
 	return &prober{
-		app:       app,
-		adj:       adj,
+		g:         g,
 		maxTrials: maxTrials,
 		cfg:       cfg,
 		valueAt:   valueAt,
@@ -76,10 +75,16 @@ func (pb *prober) launch(k int) {
 	go func() {
 		defer pb.wg.Done()
 		defer close(pr.done)
-		probeStart := time.Now()
-		pr.sol = buildSolution(pb.app, pb.adj, pb.valueAt(k), pb.maxTrials, &pr.absorbs, pb.cfg)
-		pb.probeH.RecordSince(probeStart)
+		pb.run(pr, k)
 	}()
+}
+
+// run evaluates candidate k into pr in a fresh arena.
+func (pb *prober) run(pr *probe, k int) {
+	pr.start = time.Now()
+	pr.sol = buildSolution(newArena(pb.g), pb.valueAt(k), pb.maxTrials, &pr.absorbs, pb.cfg)
+	pr.end = time.Now()
+	pb.probeH.RecordDuration(pr.end.Sub(pr.start))
 }
 
 // speculate starts probes for up to `workers` candidates reachable from the
@@ -101,21 +106,23 @@ func (pb *prober) speculate(lo, hi int) {
 	}
 }
 
-// get blocks until candidate k's probe finishes and returns its solution
-// plus the absorption count its growth performed. The caller adds the count
-// to the shared counter, so absorption telemetry accumulates in consumption
-// order — identical to the sequential run; wasted probes contribute nothing.
-func (pb *prober) get(k int) (*Result, int64) {
+// get blocks until candidate k's probe finishes and returns it: the
+// solution, the absorption count its growth performed and its run times.
+// The caller adds the count to the shared counter, so absorption telemetry
+// accumulates in consumption order — identical to the sequential run;
+// wasted probes contribute nothing.
+func (pb *prober) get(k int) *probe {
 	pr, ok := pb.probes[k]
 	if !ok {
 		// Defensive: speculate always launches the current mid first, but
 		// solve inline rather than rely on that.
-		var local obs.Counter
-		return buildSolution(pb.app, pb.adj, pb.valueAt(k), pb.maxTrials, &local, pb.cfg), local.Value()
+		pr = &probe{}
+		pb.run(pr, k)
+		return pr
 	}
 	<-pr.done
 	pb.consumed++
-	return pr.sol, pr.absorbs.Value()
+	return pr
 }
 
 // close waits for outstanding speculative probes and flushes the

@@ -72,3 +72,30 @@ func TestParallelProbeTelemetryMatchesSequential(t *testing.T) {
 		t.Error("parallel run scheduled no speculative probes")
 	}
 }
+
+// TestBoundSpansCoverSearch: each cluster.bound span carries its probe's
+// real start and end, so on the sequential path the bound spans account
+// for nearly all of cluster.synthesize's wall time.
+func TestBoundSpansCoverSearch(t *testing.T) {
+	rec := obs.New()
+	sp := rec.StartSpan("test")
+	if _, err := Synthesize(netlist.D26(), Options{Parallelism: 1, Obs: sp}); err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	syn := rec.Snapshot().Find("cluster.synthesize")
+	if syn == nil {
+		t.Fatal("no cluster.synthesize span")
+	}
+	var covered int64
+	bounds := 0
+	for _, c := range syn.Children {
+		if c.Name == "cluster.bound" {
+			covered += c.DurNS
+			bounds++
+		}
+	}
+	if share := float64(covered) / float64(syn.DurNS); bounds == 0 || share < 0.9 {
+		t.Errorf("%d cluster.bound spans cover %.3f of cluster.synthesize, want >= 0.9", bounds, share)
+	}
+}

@@ -220,6 +220,21 @@ func (s *Span) StartSpan(name string) *Span {
 	return c
 }
 
+// SpanAt records a finished child span with explicit start and end times,
+// for work timed before its place in the trace is known (a probe whose
+// verdict is consumed after it ran). On a nil Span it returns nil; the
+// returned span still takes attributes.
+func (s *Span) SpanAt(name string, start, end time.Time) *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{rec: s.rec, name: name, start: start, end: end}
+	s.mu.Lock()
+	s.children = append(s.children, c)
+	s.mu.Unlock()
+	return c
+}
+
 // End closes the span. The first call wins; later calls are no-ops.
 func (s *Span) End() {
 	if s == nil {

@@ -82,6 +82,24 @@ func TestOpenSpanMarked(t *testing.T) {
 	}
 }
 
+func TestSpanAtExplicitTimes(t *testing.T) {
+	rec := New()
+	sp := rec.StartSpan("parent")
+	start := time.Now()
+	end := start.Add(3 * time.Millisecond)
+	c := sp.SpanAt("child", start, end)
+	c.SetInt("k", 7)
+	c.End() // already finished: no-op
+	sp.End()
+	got := rec.Snapshot().Find("child")
+	if got == nil || got.Open || got.DurNS != int64(3*time.Millisecond) || got.Attrs["k"] != int64(7) {
+		t.Fatalf("child span = %+v, want a closed 3 ms span with k=7", got)
+	}
+	if (*Span)(nil).SpanAt("x", start, end) != nil {
+		t.Error("SpanAt on a nil span must return nil")
+	}
+}
+
 func TestEndIdempotent(t *testing.T) {
 	rec := New()
 	sp := rec.StartSpan("s")

@@ -331,6 +331,15 @@ func (c *Cache) compute(ctx context.Context, rec *obs.Recorder, reg *obs.Registr
 		ch := make(chan struct{})
 		sh.inflight[key] = ch
 		sh.mu.Unlock()
+		// Release the key even if fn panics: waiters must not stay parked
+		// behind a dead leader. They wake, miss, and run fn themselves.
+		// (This branch always returns, so the defer runs once.)
+		defer func() {
+			sh.mu.Lock()
+			delete(sh.inflight, key)
+			sh.mu.Unlock()
+			close(ch)
+		}()
 
 		v, cacheable, err := fn()
 		if err == nil && cacheable {
@@ -343,10 +352,6 @@ func (c *Cache) compute(ctx context.Context, rec *obs.Recorder, reg *obs.Registr
 				reg.Add("pipeline.cache.evictions", int64(evicted))
 			}
 		}
-		sh.mu.Lock()
-		delete(sh.inflight, key)
-		sh.mu.Unlock()
-		close(ch)
 		return v, false, err
 	}
 }

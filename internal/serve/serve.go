@@ -336,7 +336,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		s.streamSynthesize(w, r, app, req.Method, opt)
 		return
 	}
-	d, err := pipeline.Synthesize(r.Context(), app, req.Method, opt)
+	d, err := s.synthesize(r.Context(), app, req.Method, opt)
 	if err != nil {
 		s.synthesisError(w, r, err)
 		return
@@ -348,6 +348,20 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// synthesize runs the pipeline, turning a panicking stage into an error
+// (a 500 for a live request) counted in serve.panics, so one bad request
+// cannot take down the daemon: a streaming synthesis runs off the handler
+// goroutine, where net/http's own recovery does not reach.
+func (s *Server) synthesize(ctx context.Context, app *netlist.Application, method string, opt pipeline.Options) (d *design.Design, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.registry().Add("serve.panics", 1)
+			d, err = nil, fmt.Errorf("synthesis panicked: %v", p)
+		}
+	}()
+	return pipeline.Synthesize(ctx, app, method, opt)
 }
 
 // synthesisError maps a pipeline error onto an HTTP status. A request whose
@@ -392,7 +406,7 @@ func (s *Server) streamSynthesize(w http.ResponseWriter, r *http.Request, app *n
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		d, err := pipeline.Synthesize(r.Context(), app, method, opt)
+		d, err := s.synthesize(r.Context(), app, method, opt)
 		done <- outcome{d, err}
 	}()
 

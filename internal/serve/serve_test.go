@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	_ "sring" // register the real methods
 
@@ -32,6 +33,10 @@ var (
 	slowRelease = make(chan struct{})
 )
 
+// panicCalls counts PanicProbe constructions: the first one panics, later
+// ones build the plain ring.
+var panicCalls atomic.Int32
+
 func init() {
 	pipeline.Register("SlowProbe", func(ctx context.Context, app *netlist.Application, opt pipeline.Options, parent *obs.Span) (*pipeline.Construction, error) {
 		slowStarted <- struct{}{}
@@ -45,6 +50,12 @@ func init() {
 		case <-slowRelease:
 		}
 		return con, nil
+	})
+	pipeline.Register("PanicProbe", func(ctx context.Context, app *netlist.Application, opt pipeline.Options, parent *obs.Span) (*pipeline.Construction, error) {
+		if panicCalls.Add(1) == 1 {
+			panic("probe failure")
+		}
+		return baseRing(app)
 	})
 }
 
@@ -492,5 +503,39 @@ func TestLoadgenFlakyServer(t *testing.T) {
 		if s.Count == 0 && s.P50Ns != 0 {
 			t.Errorf("%s: no served requests but p50 = %d", s.Name, s.P50Ns)
 		}
+	}
+}
+
+// A panicking stage answers 500 and counts serve.panics, and it must not
+// wedge its cache key: the next request for the same key becomes the new
+// leader and completes instead of parking behind the dead one until its
+// context ends.
+func TestSynthesizePanicReleasesKey(t *testing.T) {
+	panicCalls.Store(0)
+	reg := obs.NewRegistry()
+	h := (&serve.Server{Registry: reg, Cache: pipeline.NewCache()}).Handler()
+	body := `{"app":"MWD","method":"PanicProbe","options":{"parallelism":1}}`
+	w := postSynthesize(t, h, body)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking synthesis status = %d, want 500: %s", w.Code, w.Body)
+	}
+	if got := reg.Counter("serve.panics").Value(); got != 1 {
+		t.Errorf("serve.panics = %d, want 1", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/synthesize", strings.NewReader(body)).WithContext(ctx)
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if ctx.Err() != nil {
+		t.Fatal("second request waited on the panicked leader until its deadline")
+	}
+	if w.Code != http.StatusOK {
+		t.Fatalf("second request status = %d, want 200: %s", w.Code, w.Body)
+	}
+	var resp serve.Response
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Cancelled {
+		t.Errorf("second request: err %v, cancelled %v; want a complete design", err, resp.Cancelled)
 	}
 }
