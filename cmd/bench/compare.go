@@ -22,11 +22,17 @@ package main
 //
 // Entries present in only one snapshot are listed but never gate — adding
 // a benchmark must not fail the comparison that introduces it.
+//
+// A /j=N entry with N above a snapshot's num_cpu is labelled
+// "oversubscribed": its workers outnumbered the host's cores, so it does
+// not measure a parallel speedup. The label changes nothing about gating.
 
 import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 
 	"sring/internal/benchfmt"
 )
@@ -44,6 +50,28 @@ const gapRegressionTol = 0.01
 // stays silent: sub-millisecond stages flap too much at benchmark sample
 // counts for a relative threshold to separate signal from scheduler noise.
 const p99FloorNs = int64(1e6)
+
+// oversubscribed reports whether name is a /j=N entry with N above numCPU
+// (0, as in snapshots that predate the field, means unknown: never).
+func oversubscribed(name string, numCPU int) bool {
+	i := strings.LastIndex(name, "/j=")
+	if i < 0 || numCPU <= 0 {
+		return false
+	}
+	n, err := strconv.Atoi(name[i+len("/j="):])
+	return err == nil && n > numCPU
+}
+
+// entryLabel is name as printed in tables: suffixed "(oversubscribed)" when
+// any of the given snapshots' core counts oversubscribes it.
+func entryLabel(name string, numCPUs ...int) string {
+	for _, c := range numCPUs {
+		if oversubscribed(name, c) {
+			return name + " (oversubscribed)"
+		}
+	}
+	return name
+}
 
 // deltaPct formats the relative change from o to n as benchstat does;
 // "~" marks changes below one percent (noise at these sample counts).
@@ -74,15 +102,15 @@ func compareSnapshots(oldSnap, newSnap *snapshot, threshold float64) []string {
 		return o > 0 && n > o*(1+threshold)
 	}
 
-	fmt.Printf("%-34s %14s %14s %9s %12s %12s %9s %10s %10s %9s %10s %10s %9s\n",
+	fmt.Printf("%-50s %14s %14s %9s %12s %12s %9s %10s %10s %9s %10s %10s %9s\n",
 		"name", "old ns/op", "new ns/op", "delta",
 		"old allocs", "new allocs", "delta",
 		"old nodes", "new nodes", "delta", "old gap", "new gap", "delta")
 	for _, n := range newSnap.Entries {
 		o, ok := oldByName[n.Name]
 		if !ok {
-			fmt.Printf("%-34s %14s %14.0f %9s %12s %12d %9s\n",
-				n.Name, "-", n.NsPerOp, "new", "-", n.AllocsPerOp, "new")
+			fmt.Printf("%-50s %14s %14.0f %9s %12s %12d %9s\n",
+				entryLabel(n.Name, newSnap.NumCPU), "-", n.NsPerOp, "new", "-", n.AllocsPerOp, "new")
 			continue
 		}
 		delete(oldByName, n.Name)
@@ -131,8 +159,8 @@ func compareSnapshots(oldSnap, newSnap *snapshot, threshold float64) []string {
 			gapCols[1] = fmt.Sprintf("%.4f", *n.MILPGap)
 		}
 
-		fmt.Printf("%-34s %14.0f %14.0f %9s %12d %12d %9s %10s %10s %9s %10s %10s %9s\n",
-			n.Name, o.NsPerOp, n.NsPerOp, deltaPct(o.NsPerOp, n.NsPerOp),
+		fmt.Printf("%-50s %14.0f %14.0f %9s %12d %12d %9s %10s %10s %9s %10s %10s %9s\n",
+			entryLabel(n.Name, oldSnap.NumCPU, newSnap.NumCPU), o.NsPerOp, n.NsPerOp, deltaPct(o.NsPerOp, n.NsPerOp),
 			o.AllocsPerOp, n.AllocsPerOp,
 			deltaPct(float64(o.AllocsPerOp), float64(n.AllocsPerOp)),
 			nodeCols[0], nodeCols[1], nodeCols[2],
@@ -143,7 +171,7 @@ func compareSnapshots(oldSnap, newSnap *snapshot, threshold float64) []string {
 	}
 	for _, o := range oldSnap.Entries {
 		if _, gone := oldByName[o.Name]; gone {
-			fmt.Printf("%-34s %14.0f %14s %9s\n", o.Name, o.NsPerOp, "-", "gone")
+			fmt.Printf("%-50s %14.0f %14s %9s\n", entryLabel(o.Name, oldSnap.NumCPU), o.NsPerOp, "-", "gone")
 		}
 	}
 	return regressed

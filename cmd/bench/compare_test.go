@@ -173,3 +173,56 @@ func TestRunCompareNeedsSharedEntries(t *testing.T) {
 		t.Errorf("one shared, unregressed entry: err = %v, want nil", err)
 	}
 }
+
+// A /j=N entry with N above the snapshot's num_cpu is labelled
+// oversubscribed — the j=4 rows of the sparse snapshot were captured on one
+// CPU — while j=1 rows and snapshots without a core count stay unlabelled.
+// The label never changes gating.
+func TestCompareLabelsOversubscribed(t *testing.T) {
+	snap, err := loadSnapshot(filepath.Join("..", "..", "BENCH_2026-08-06-sparse.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.NumCPU != 1 {
+		t.Fatalf("num_cpu = %d, want the 1-CPU capture", snap.NumCPU)
+	}
+	labelled := 0
+	for _, e := range snap.Entries {
+		got := entryLabel(e.Name, snap.NumCPU)
+		want := e.Name
+		if strings.HasSuffix(e.Name, "/j=4") {
+			want += " (oversubscribed)"
+			labelled++
+		}
+		if got != want {
+			t.Errorf("entryLabel(%q, 1) = %q, want %q", e.Name, got, want)
+		}
+	}
+	if labelled == 0 {
+		t.Fatal("no j=4 entry in the sparse snapshot")
+	}
+	for _, c := range []struct {
+		name   string
+		numCPU int
+		want   bool
+	}{
+		{"Synthesize/MPEG/SRing/j=4", 4, false},
+		{"Synthesize/MPEG/SRing/j=4", 0, false}, // core count unknown
+		{"Synthesize/MPEG/SRing/j=0", 1, false}, // j=0 is GOMAXPROCS
+		{"Synthesize/MPEG/SRing", 1, false},
+		{"Synthesize/MPEG/SRing/j=8", 2, true},
+	} {
+		if got := oversubscribed(c.name, c.numCPU); got != c.want {
+			t.Errorf("oversubscribed(%q, %d) = %v, want %v", c.name, c.numCPU, got, c.want)
+		}
+	}
+
+	oldE, newE := baseEntry(), baseEntry()
+	oldE.Name, newE.Name = "Synthesize/MWD/SRing/j=4", "Synthesize/MWD/SRing/j=4"
+	newE.NsPerOp = 2e6
+	oldSnap, newSnap := snapWith(oldE), snapWith(newE)
+	oldSnap.NumCPU, newSnap.NumCPU = 1, 1
+	if regressed := compareSnapshots(oldSnap, newSnap, 0.20); len(regressed) != 1 || !strings.Contains(regressed[0], "ns/op") {
+		t.Fatalf("regressed = %v, want the oversubscribed entry gated on ns/op as before", regressed)
+	}
+}

@@ -331,7 +331,7 @@ func main() {
 					}
 				}
 				snap.Entries = append(snap.Entries, e)
-				fmt.Printf("%-32s %12.0f ns/op %10d allocs/op%s\n", name, r.nsPerOp, r.allocsPerOp, milpNote)
+				fmt.Printf("%-32s %12.0f ns/op %10d allocs/op%s\n", entryLabel(name, snap.NumCPU), r.nsPerOp, r.allocsPerOp, milpNote)
 				if len(e.StageNs) > 0 {
 					fmt.Printf("%-32s", "")
 					for _, s := range stageNames {

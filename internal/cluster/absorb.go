@@ -34,7 +34,7 @@ type arc struct{ src, dst netlist.NodeID }
 
 // graph is the application's communication structure indexed by the dense
 // node IDs Validate guarantees. It is built once per SynthesizeContext and
-// shared read-only by every probe.
+// read by every probe.
 type graph struct {
 	app     *netlist.Application
 	adj     [][]netlist.NodeID // sorted partners in either direction
@@ -60,9 +60,9 @@ func newGraph(app *netlist.Application) *graph {
 	return g
 }
 
-// arena is one probe's scratch: the dense node sets and the buffers of the
-// absorption search, reused by every ring the probe grows. Each probe owns
-// its arena, so speculative probes share nothing mutable.
+// arena is the L_max search's scratch: the dense node sets and the buffers
+// of the absorption search, reused by every ring each probe grows. The
+// probes run one after another in the search's one arena.
 //
 // pos and prefix index the ring being grown (see index); a node is on that
 // ring iff onRing holds, so pos never needs clearing. avail marks the nodes

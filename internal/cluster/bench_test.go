@@ -32,7 +32,7 @@ func BenchmarkSynthesize(b *testing.B) {
 		b.Run(c.app.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Synthesize(c.app, Options{MaxInitialTrials: c.trials, Parallelism: 1}); err != nil {
+				if _, err := Synthesize(c.app, Options{MaxInitialTrials: c.trials}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,13 +37,6 @@ type Options struct {
 	// larger networks a cap trades a little quality for a lot of runtime.
 	// Zero means unlimited (the paper's behaviour).
 	MaxInitialTrials int
-	// Parallelism is the number of concurrent L_max feasibility probes:
-	// 0 means GOMAXPROCS, 1 means the plain sequential search. Candidate
-	// bounds in the current candidate's BST subtree are probed
-	// speculatively while the binary search consumes verdicts in its
-	// sequential descent order, so the selected L_max and the returned
-	// construction are bit-identical to the sequential run.
-	Parallelism int
 	// InterRingMax bounds how many nodes the classic single inter-ring
 	// construction is attempted for. When more nodes than this carry
 	// escalated traffic, the escalation set is recursively partitioned
@@ -138,11 +131,17 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	sp.SetFloat("d1", d1)
 	sp.SetFloat("d2", d2)
 
-	// recordBound wraps one consumed candidate verdict in a span carrying
-	// the probe's own start and end, so the trace shows the whole descent in
-	// selection order regardless of when (or on which goroutine) the probe
-	// actually ran, and the bound spans account for the search's time.
-	recordBound := func(lmax float64, sol *Result, start, end time.Time) {
+	// tryBound evaluates one L_max candidate in one reused arena and wraps
+	// the verdict in a cluster.bound span carrying the probe's start and
+	// end, so the bound spans account for the search's time.
+	cfg := opt.hierConfig()
+	probeH := obs.OrDefault(opt.Registry).Histogram("cluster.probe.ns")
+	ar := newArena(g)
+	tryBound := func(lmax float64) *Result {
+		start := time.Now()
+		sol := buildSolution(ar, lmax, opt.MaxInitialTrials, absorb, cfg)
+		end := time.Now()
+		probeH.RecordDuration(end.Sub(start))
 		iters.Add(1)
 		bsp := sp.SpanAt("cluster.bound", start, end)
 		bsp.SetFloat("lmax", lmax)
@@ -150,57 +149,25 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 		if sol != nil {
 			bsp.SetInt("clusters", int64(len(sol.Clusters)))
 		}
-	}
-
-	// tryBound evaluates one L_max candidate inline (the sequential path,
-	// also used for the fallback bounds below) in one reused arena.
-	cfg := opt.hierConfig()
-	probeH := obs.OrDefault(opt.Registry).Histogram("cluster.probe.ns")
-	seq := newArena(g)
-	tryBound := func(lmax float64) *Result {
-		start := time.Now()
-		sol := buildSolution(seq, lmax, opt.MaxInitialTrials, absorb, cfg)
-		end := time.Now()
-		probeH.RecordDuration(end.Sub(start))
-		recordBound(lmax, sol, start, end)
 		return sol
 	}
 
 	// Binary search over the 2^h − 1 equidistant interior values of
 	// [d1, d2] (the paper's balanced BST descent: valid -> left child,
 	// invalid -> right child).
-	count := 1<<h - 1
-	valueAt := func(k int) float64 { // k in 1..count
-		return d1 + float64(k)*(d2-d1)/float64(int(1)<<h)
-	}
-	var pb *prober
-	if workers := resolveSpecWorkers(opt.Parallelism); workers > 1 {
-		pb = newProber(g, opt.MaxInitialTrials, cfg, valueAt, workers, probeH)
-		defer pb.close(sp.Recorder())
-	}
 	var best *Result
 	cancelled := false
 	evaluated := 0
-	lo, hi := 1, count
+	lo, hi := 1, 1<<h-1
 	for lo <= hi {
 		if ctx.Err() != nil {
 			cancelled = true
 			break
 		}
 		mid := (lo + hi) / 2
-		lmax := valueAt(mid)
+		lmax := d1 + float64(mid)*(d2-d1)/float64(int(1)<<h)
 		evaluated++
-		var sol *Result
-		if pb != nil {
-			pb.speculate(lo, hi)
-			pr := pb.get(mid)
-			sol = pr.sol
-			absorb.Add(pr.absorbs.Value())
-			recordBound(lmax, sol, pr.start, pr.end)
-		} else {
-			sol = tryBound(lmax)
-		}
-		if sol != nil {
+		if sol := tryBound(lmax); sol != nil {
 			sol.Lmax = lmax
 			best = sol
 			hi = mid - 1
@@ -241,7 +208,7 @@ func SynthesizeContext(ctx context.Context, app *netlist.Application, opt Option
 	sp.SetFloat("lmax", best.Lmax)
 	sp.SetBool("cancelled", cancelled)
 	// Aggregate hierarchy telemetry, recorded once from the selected
-	// solution so the counters are deterministic at any Parallelism:
+	// solution:
 	// cluster.level.depth   — hierarchy depth distribution across runs;
 	// cluster.level.rings   — inter rings above level 1 (0 for the paper's
 	//                         two-level shape);

@@ -6,6 +6,7 @@ import (
 
 	"sring/internal/geom"
 	"sring/internal/netlist"
+	"sring/internal/obs"
 	"sring/internal/ring"
 )
 
@@ -346,5 +347,32 @@ func TestConventionalRingBound(t *testing.T) {
 	}
 	if got := conventionalRingBound(app); math.Abs(got-1) > 1e-9 {
 		t.Errorf("conventionalRingBound = %v, want 1", got)
+	}
+}
+
+// TestBoundSpansCoverSearch: each cluster.bound span carries its probe's
+// real start and end, so the bound spans account for nearly all of
+// cluster.synthesize's wall time.
+func TestBoundSpansCoverSearch(t *testing.T) {
+	rec := obs.New()
+	sp := rec.StartSpan("test")
+	if _, err := Synthesize(netlist.D26(), Options{Obs: sp}); err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	syn := rec.Snapshot().Find("cluster.synthesize")
+	if syn == nil {
+		t.Fatal("no cluster.synthesize span")
+	}
+	var covered int64
+	bounds := 0
+	for _, c := range syn.Children {
+		if c.Name == "cluster.bound" {
+			covered += c.DurNS
+			bounds++
+		}
+	}
+	if share := float64(covered) / float64(syn.DurNS); bounds == 0 || share < 0.9 {
+		t.Errorf("%d cluster.bound spans cover %.3f of cluster.synthesize, want >= 0.9", bounds, share)
 	}
 }

@@ -25,7 +25,6 @@ func Construct(ctx context.Context, app *netlist.Application, opt pipeline.Optio
 	res, err := SynthesizeContext(ctx, app, Options{
 		TreeHeight:       opt.TreeHeight,
 		MaxInitialTrials: opt.ClusterTrials,
-		Parallelism:      opt.Parallelism,
 		Obs:              parent,
 		Registry:         opt.Registry,
 	})

@@ -31,14 +31,14 @@ func (c *flipCtx) Err() error {
 // A cancellation mid-search keeps the best feasible construction found so
 // far, flagged Cancelled, instead of failing.
 func TestSynthesizeContextKeepsBestOnCancel(t *testing.T) {
-	full, err := Synthesize(netlist.MWD(), Options{Parallelism: 1})
+	full, err := Synthesize(netlist.MWD(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Let three L_max probes run, then cancel. The binary search needs
 	// h = 6 iterations to converge, so the cancel strikes mid-descent.
 	ctx := &flipCtx{Context: context.Background(), after: 3}
-	res, err := SynthesizeContext(ctx, netlist.MWD(), Options{Parallelism: 1})
+	res, err := SynthesizeContext(ctx, netlist.MWD(), Options{})
 	if err != nil {
 		t.Fatalf("cancelled search returned error %v, want best-so-far result", err)
 	}
@@ -60,7 +60,7 @@ func TestSynthesizeContextKeepsBestOnCancel(t *testing.T) {
 func TestSynthesizeContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SynthesizeContext(ctx, netlist.MWD(), Options{Parallelism: 1})
+	res, err := SynthesizeContext(ctx, netlist.MWD(), Options{})
 	if res != nil {
 		t.Errorf("pre-cancelled search returned %v, want nil", res)
 	}

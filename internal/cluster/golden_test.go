@@ -88,7 +88,7 @@ func TestConstructionGolden(t *testing.T) {
 		t.Run(c.app.Name, func(t *testing.T) {
 			rec := obs.New()
 			sp := rec.StartSpan("golden")
-			res, err := Synthesize(c.app, Options{MaxInitialTrials: c.trials, Parallelism: 1, Obs: sp})
+			res, err := Synthesize(c.app, Options{MaxInitialTrials: c.trials, Obs: sp})
 			sp.End()
 			if err != nil {
 				t.Fatal(err)

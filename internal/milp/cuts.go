@@ -8,9 +8,9 @@ package milp
 // branch-and-bound goroutine and is touched only inside cutter.run and
 // cutter.inherit, which the main loop calls at canonical node consumption.
 // A node's active cut list is fixed at the moment the node is created and
-// never mutated afterwards, so the work-stealing workers see cuts only as
+// never mutated afterwards, so the prefetch workers see cuts only as
 // immutable extra LP rows: a speculative solve stays the pure function of
-// (prepped problem, node) that PR 2's bit-identity argument rests on. The
+// (prepped problem, node) that the bit-identity argument rests on. The
 // cutter re-establishes a consumed node's tableau on its own arena by
 // SolveDual from the consumed basis — a canonical refactorisation that
 // depends on the basis *set*, not on which worker produced it — so the

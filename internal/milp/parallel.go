@@ -2,7 +2,7 @@ package milp
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,9 +14,9 @@ import (
 
 // evaluator abstracts how solveBB obtains LP relaxation solutions for the
 // nodes it explores. The sequential implementation solves inline; the
-// parallel one pre-solves frontier nodes speculatively on a work-stealing
-// pool. Either way the main loop consumes solutions in its own (canonical)
-// order, so the search trajectory is identical.
+// parallel one pre-solves the frontier's best nodes speculatively on a
+// prefetch queue. Either way the main loop consumes solutions in its own
+// (canonical) order, so the search trajectory is identical.
 type evaluator interface {
 	// solve returns the LP relaxation solution for nd, plus the optimal
 	// basis for warm-starting its children (nil unless Optimal). open is
@@ -64,7 +64,7 @@ func newEvaluator(pp *prepped, parallelism int, deadline time.Time, interrupt <-
 	}
 	size := pp.p.LP.NumVars * (len(pp.p.LP.Constraints) + 1)
 	if workers := resolveSpecWorkers(parallelism); workers > 1 && size >= specMinProblemSize {
-		return newStealPool(pp, rs, workers, deadline, interrupt, rec, reg), nil
+		return newPrefetchQueue(pp, rs, workers, deadline, interrupt, rec, reg), nil
 	}
 	return &inlineEvaluator{rs: rs, deadline: deadline, rec: rec}, nil
 }
@@ -90,12 +90,12 @@ func (e *inlineEvaluator) publish(float64) {}
 func (e *inlineEvaluator) close()          {}
 
 // lpFuture is one speculative relaxation solve. Its lifecycle is governed
-// by the claim word: 0 while queued on a deque, 1 once claimed — by the
-// worker that dequeued it (which then writes sol/err and closes done) or
-// by the main loop (which reclaims the node and solves it inline, leaving
-// the stale deque entry for some worker to dequeue and drop). The
-// compare-and-swap makes the two claims mutually exclusive, and the
-// channel close orders the worker's writes before the main loop's reads.
+// by the claim word: 0 while queued, 1 once claimed — by the worker that
+// dequeued it (which then writes sol/err and closes done) or by the main
+// loop (which reclaims the node to solve it inline, or evicts it from the
+// window, leaving the stale queue entry for a worker to dequeue and drop).
+// The compare-and-swap makes the claims mutually exclusive, and the channel
+// close orders the worker's writes before the main loop's reads.
 type lpFuture struct {
 	nd      *node
 	claim   atomic.Uint32
@@ -104,23 +104,32 @@ type lpFuture struct {
 	bas     *lp.Basis
 	err     error
 	skipped bool // worker declined: the node is certain to be pruned
-	stolen  bool // solved by a worker other than the one it was placed on
 }
 
-// stealPool solves LP relaxations of likely-next frontier nodes on a pool
-// of workers with per-worker deques and work stealing, while the main loop
-// runs the exact sequential control flow.
+// finished reports, without blocking, whether a worker has completed fut.
+func (fut *lpFuture) finished() bool {
+	select {
+	case <-fut.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// prefetchQueue solves the LP relaxations of the frontier's best nodes on a
+// fixed set of workers fed by one FIFO queue, while the main loop runs the
+// exact sequential control flow.
 //
-// Scheduling: the main loop ranks a prefix of the frontier by the
-// pseudocost subtree estimate (node.est), canonical nodeLess order
-// breaking ties, and places each node on the deque of worker
-// ((seq+1)/2) mod workers — siblings land on the same worker, so the
-// shared parent-basis LU memo is loaded from one arena instead of being
-// refactorised twice. An owner pops its own deque from the front (its
-// best-ranked work); an idle worker steals from the back of the first
-// non-empty deque after its own (the work its owner would reach last),
-// the classic deque discipline that keeps the two ends from contending
-// over the same entries.
+// Scheduling: each time the main loop asks for a node, prefetch makes the
+// futures cover exactly the frontier's best 2×workers nodes in canonical
+// nodeLess order — the order the main loop pops in, so the window turns
+// over as the search advances instead of holding nodes it never reaches.
+// A future whose node has left the window is stale: an unclaimed one is
+// claimed away (a worker drops its queue entry), a finished one is
+// forgotten, and a running one is left to finish and looked at again on
+// the next call. The window's missing futures are queued best first. No
+// worker owns a node: the warm start refactorises the parent basis
+// canonically, so any worker's arena serves any node equally well.
 //
 // Determinism: the main loop alone pops nodes, prunes, branches, updates
 // pseudocosts and accepts incumbents — workers only ever run
@@ -142,7 +151,7 @@ type lpFuture struct {
 // node before asking for its solution. The consume path still re-solves
 // inline if a skipped future is ever reached, keeping exactness independent
 // of that argument.
-type stealPool struct {
+type prefetchQueue struct {
 	pp        *prepped
 	rs        *relaxSolver // main-goroutine solver for non-speculated nodes
 	deadline  time.Time
@@ -151,16 +160,16 @@ type stealPool struct {
 	reg       *obs.Registry // aggregate registry for worker LP solvers
 	workers   int
 
-	// mu guards the deques; cond wakes idle workers when work is pushed
-	// or the pool closes.
+	// mu guards queue and closed; cond wakes idle workers when work is
+	// queued or the pool closes.
 	mu     sync.Mutex
 	cond   *sync.Cond
-	deques [][]*lpFuture
+	queue  []*lpFuture
 	closed bool
 	wg     sync.WaitGroup
-	// started is set (by the main goroutine) once the worker pool has been
-	// launched; the pool starts lazily on the first scheduled task, so a
-	// solve whose frontier never reaches specMinOpenNodes pays nothing.
+	// started is set (by the main goroutine) once the workers have been
+	// launched; they start lazily on the first queued future, so a solve
+	// whose frontier never reaches specMinOpenNodes pays nothing.
 	started bool
 
 	// incumbent is the published incumbent objective as math.Float64bits
@@ -169,16 +178,15 @@ type stealPool struct {
 	incumbent atomic.Uint64
 
 	// futures is touched only by the main goroutine (solve/close); workers
-	// see futures solely through the deques.
+	// see futures solely through the queue.
 	futures   map[*node]*lpFuture
 	scheduled int64
 	consumed  int64
-	stolen    int64
 	reclaimed int64
 }
 
-func newStealPool(pp *prepped, rs *relaxSolver, workers int, deadline time.Time, interrupt <-chan struct{}, rec *obs.Recorder, reg *obs.Registry) *stealPool {
-	f := &stealPool{
+func newPrefetchQueue(pp *prepped, rs *relaxSolver, workers int, deadline time.Time, interrupt <-chan struct{}, rec *obs.Recorder, reg *obs.Registry) *prefetchQueue {
+	f := &prefetchQueue{
 		pp:        pp,
 		rs:        rs,
 		deadline:  deadline,
@@ -186,7 +194,6 @@ func newStealPool(pp *prepped, rs *relaxSolver, workers int, deadline time.Time,
 		rec:       rec,
 		reg:       reg,
 		workers:   workers,
-		deques:    make([][]*lpFuture, workers),
 		futures:   make(map[*node]*lpFuture),
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -194,136 +201,116 @@ func newStealPool(pp *prepped, rs *relaxSolver, workers int, deadline time.Time,
 	return f
 }
 
-// start launches the worker pool; called from the main goroutine when the
-// first speculative task is about to be scheduled.
-func (f *stealPool) start() {
-	f.started = true
-	f.wg.Add(f.workers)
-	for w := 0; w < f.workers; w++ {
-		go f.worker(w)
-	}
-}
-
-// next blocks until the pool closes or a future is available: the front of
-// worker w's own deque first, else a steal from the back of the first
-// non-empty deque after w (cyclic scan). The second return reports a
-// steal.
-func (f *stealPool) next(w int) (*lpFuture, bool) {
+// next blocks until a future is queued or the pool closes (nil).
+func (f *prefetchQueue) next() *lpFuture {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for {
-		if q := f.deques[w]; len(q) > 0 {
-			fut := q[0]
-			q[0] = nil
-			f.deques[w] = q[1:]
-			return fut, false
-		}
-		for i := 1; i < f.workers; i++ {
-			v := (w + i) % f.workers
-			if q := f.deques[v]; len(q) > 0 {
-				fut := q[len(q)-1]
-				q[len(q)-1] = nil
-				f.deques[v] = q[:len(q)-1]
-				return fut, true
-			}
-		}
-		if f.closed {
-			return nil, false
-		}
+	for len(f.queue) == 0 && !f.closed {
 		f.cond.Wait()
 	}
+	if f.closed {
+		return nil
+	}
+	fut := f.queue[0]
+	f.queue[0] = nil
+	f.queue = f.queue[1:]
+	return fut
 }
 
-func (f *stealPool) worker(w int) {
+func (f *prefetchQueue) worker() {
 	defer f.wg.Done()
 	rs, err := newRelaxSolver(f.pp, f.interrupt, f.reg)
-	for {
-		fut, wasSteal := f.next(w)
-		if fut == nil {
-			return
-		}
+	for fut := f.next(); fut != nil; fut = f.next() {
 		if !fut.claim.CompareAndSwap(0, 1) {
-			continue // the main loop reclaimed it; stale deque entry
+			continue // reclaimed or evicted by the main loop: stale entry
 		}
-		if err != nil {
-			// The main goroutine's identical construction succeeded, so this
-			// cannot normally happen; degrade to skipped futures (the consume
-			// path re-solves inline).
+		// A failed arena (the main goroutine's identical construction
+		// succeeded, so this cannot normally happen) degrades to skipped
+		// futures, which the consume path re-solves inline.
+		if inc := math.Float64frombits(f.incumbent.Load()); err != nil || fut.nd.bound >= inc-1e-9 {
 			fut.skipped = true
-			close(fut.done)
-			continue
+		} else {
+			fut.sol, fut.bas, fut.err = rs.solve(fut.nd, f.deadline)
 		}
-		if inc := math.Float64frombits(f.incumbent.Load()); fut.nd.bound >= inc-1e-9 {
-			fut.skipped = true
-			close(fut.done)
-			continue
-		}
-		fut.stolen = wasSteal
-		fut.sol, fut.bas, fut.err = rs.solve(fut.nd, f.deadline)
 		close(fut.done)
 	}
 }
 
-func (f *stealPool) publish(objective float64) {
+func (f *prefetchQueue) publish(objective float64) {
 	// Only the main loop publishes, and incumbents only improve, so a plain
 	// store keeps the value monotone non-increasing.
 	f.incumbent.Store(math.Float64bits(objective))
 }
 
-// prefetch schedules speculative solves for the nodes most likely to be
-// popped next: it scans a prefix of the heap's backing array (the heap
-// property keeps the best candidates near the front), ranks them by the
-// pseudocost subtree estimate with canonical nodeLess order breaking ties,
-// and places as many as fit the speculation window on their affine
-// workers' deques.
-func (f *stealPool) prefetch(open *nodeHeap) {
+// frontierBest returns the k best nodes of the heap in nodeLess order
+// without modifying it: a best-first walk of the heap tree, in which the
+// next best node is always a child of one already taken.
+func frontierBest(open *nodeHeap, k int) []*node {
+	h := *open
+	best := make([]*node, 0, k)
+	cand := []int{0} // heap indices whose parent is already taken
+	for len(best) < k && len(best) < len(h) {
+		bi := 0
+		for i := range cand {
+			if nodeLess(h[cand[i]], h[cand[bi]]) {
+				bi = i
+			}
+		}
+		at := cand[bi]
+		cand[bi] = cand[len(cand)-1]
+		cand = cand[:len(cand)-1]
+		best = append(best, h[at])
+		for c := 2*at + 1; c <= 2*at+2 && c < len(h); c++ {
+			cand = append(cand, c)
+		}
+	}
+	return best
+}
+
+// prefetch makes the futures cover exactly the frontier's best 2×workers
+// nodes: stale futures are evicted (see prefetchQueue) and the missing ones
+// queued best first.
+func (f *prefetchQueue) prefetch(open *nodeHeap) {
 	if open.Len() < specMinOpenNodes {
 		return
 	}
-	window := 2 * f.workers
-	if len(f.futures) >= window {
-		return // speculation window full
+	window := frontierBest(open, 2*f.workers)
+	for nd, fut := range f.futures {
+		if slices.Contains(window, nd) {
+			continue
+		}
+		if fut.claim.CompareAndSwap(0, 1) || fut.finished() {
+			delete(f.futures, nd)
+		}
+	}
+	var fresh []*lpFuture
+	for _, nd := range window {
+		if _, ok := f.futures[nd]; !ok {
+			fut := &lpFuture{nd: nd, done: make(chan struct{})}
+			f.futures[nd] = fut
+			fresh = append(fresh, fut)
+		}
+	}
+	if len(fresh) == 0 {
+		return
 	}
 	if !f.started {
-		f.start()
-	}
-	scan := 4 * window
-	if scan > open.Len() {
-		scan = open.Len()
-	}
-	cand := make([]*node, 0, scan)
-	for _, nd := range (*open)[:scan] {
-		if _, ok := f.futures[nd]; !ok {
-			cand = append(cand, nd)
+		f.started = true
+		f.wg.Add(f.workers)
+		for w := 0; w < f.workers; w++ {
+			go f.worker()
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].est != cand[j].est {
-			return cand[i].est < cand[j].est
-		}
-		return nodeLess(cand[i], cand[j])
-	})
-	if room := window - len(f.futures); len(cand) > room {
-		cand = cand[:room]
-	}
+	f.scheduled += int64(len(fresh))
 	f.mu.Lock()
-	for _, nd := range cand {
-		fut := &lpFuture{nd: nd, done: make(chan struct{})}
-		f.futures[nd] = fut
-		f.scheduled++
-		// Sibling affinity: the down child (odd seq) and up child (even
-		// seq) of one branch share (seq+1)/2 and hence a deque, so the
-		// parent-basis factor memo is loaded once.
-		wid := ((nd.seq + 1) / 2) % f.workers
-		f.deques[wid] = append(f.deques[wid], fut)
-	}
+	f.queue = append(f.queue, fresh...)
 	f.mu.Unlock()
 	f.cond.Broadcast()
 }
 
 // solveInline runs nd on the main goroutine's own solver, attributing LP
 // telemetry immediately.
-func (f *stealPool) solveInline(nd *node) (*lp.Solution, *lp.Basis, error) {
+func (f *prefetchQueue) solveInline(nd *node) (*lp.Solution, *lp.Basis, error) {
 	sol, bas, err := f.rs.solve(nd, f.deadline)
 	if err == nil {
 		lp.AccumulateStats(f.rec, sol)
@@ -331,21 +318,18 @@ func (f *stealPool) solveInline(nd *node) (*lp.Solution, *lp.Basis, error) {
 	return sol, bas, err
 }
 
-func (f *stealPool) solve(nd *node, open *nodeHeap) (*lp.Solution, *lp.Basis, error) {
+func (f *prefetchQueue) solve(nd *node, open *nodeHeap) (*lp.Solution, *lp.Basis, error) {
 	fut, ok := f.futures[nd]
-	if ok {
-		delete(f.futures, nd)
-	}
-	// Refill the speculation window before (possibly) blocking, so workers
-	// stay busy while the main loop waits.
+	delete(f.futures, nd)
+	// Turn the window over before (possibly) blocking, so workers stay
+	// busy while the main loop waits.
 	f.prefetch(open)
 	if !ok {
 		return f.solveInline(nd)
 	}
 	if fut.claim.CompareAndSwap(0, 1) {
-		// Still sitting unclaimed on a deque: reclaim it and solve inline
-		// rather than wait for a worker to get around to it. The stale
-		// deque entry is dropped when a worker's own claim fails.
+		// Still queued unclaimed: reclaim it and solve inline rather than
+		// wait for a worker to get around to it.
 		f.reclaimed++
 		return f.solveInline(nd)
 	}
@@ -357,30 +341,21 @@ func (f *stealPool) solve(nd *node, open *nodeHeap) (*lp.Solution, *lp.Basis, er
 		return f.solveInline(nd)
 	}
 	f.consumed++
-	if fut.stolen {
-		f.stolen++
-	}
 	if fut.err == nil {
 		lp.AccumulateStats(f.rec, fut.sol)
 	}
 	return fut.sol, fut.bas, fut.err
 }
 
-func (f *stealPool) close() {
-	// Publishing −Inf makes workers skip everything still queued, so
-	// shutdown does not wait on stale LP solves.
-	f.incumbent.Store(math.Float64bits(math.Inf(-1)))
+// close stops the workers — each finishes the solve it is running, and
+// queued futures are abandoned — and flushes the speculation diagnostics.
+func (f *prefetchQueue) close() {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
 	f.cond.Broadcast()
-	if f.started {
-		f.wg.Wait()
-	}
-	if f.rec != nil {
-		f.rec.Add("milp.steal.scheduled", f.scheduled)
-		f.rec.Add("milp.steal.wasted", f.scheduled-f.consumed)
-		f.rec.Add("milp.steal.stolen", f.stolen)
-		f.rec.Add("milp.steal.reclaimed", f.reclaimed)
-	}
+	f.wg.Wait()
+	f.rec.Add("milp.steal.scheduled", f.scheduled)
+	f.rec.Add("milp.steal.wasted", f.scheduled-f.consumed)
+	f.rec.Add("milp.steal.reclaimed", f.reclaimed)
 }

@@ -1,9 +1,11 @@
 package milp
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sring/internal/lp"
@@ -58,7 +60,7 @@ func hardKnapsack(rng *rand.Rand, n int) *Problem {
 }
 
 // forceSpeculation lowers the speculation gates for the duration of a test
-// so the deliberately small instances here exercise the prefetcher, which
+// so the deliberately small instances here exercise the prefetch queue, which
 // the production thresholds would route to the inline evaluator.
 func forceSpeculation(t *testing.T) {
 	t.Helper()
@@ -110,7 +112,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelTelemetryMatchesSequential: LP pivot counters are attributed
-// at consumption time, so lp.* and milp.* counters (bar the spec.*
+// at consumption time, so lp.* and milp.* counters (bar the milp.steal.*
 // diagnostics) must be identical between sequential and parallel runs.
 func TestParallelTelemetryMatchesSequential(t *testing.T) {
 	forceSpeculation(t)
@@ -284,6 +286,36 @@ func TestParallelBruteForce(t *testing.T) {
 		}
 		if res.Status != Optimal || !approx(res.Objective, bestObj, 1e-6) {
 			t.Fatalf("trial %d: got %v obj %v, brute force %v", trial, res.Status, res.Objective, bestObj)
+		}
+	}
+}
+
+// TestFrontierBest: the prefetch window is exactly the heap's k best nodes
+// in nodeLess order, and reading it leaves the heap untouched.
+func TestFrontierBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		open := &nodeHeap{}
+		for i := rng.Intn(40); i > 0; i-- {
+			// Few distinct bounds and depths, so the tie-breaks decide.
+			heap.Push(open, &node{bound: float64(rng.Intn(4)), depth: rng.Intn(3), seq: open.Len()})
+		}
+		before := slices.Clone(*open)
+		sorted := slices.Clone(*open)
+		slices.SortFunc(sorted, func(a, b *node) int {
+			if nodeLess(a, b) {
+				return -1
+			}
+			return 1
+		})
+		for _, k := range []int{0, 1, 4, 16, 64} {
+			want := sorted[:min(k, len(sorted))]
+			if got := frontierBest(open, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d k=%d: frontierBest picked another window than the sorted frontier", trial, k)
+			}
+		}
+		if !slices.Equal(*open, before) {
+			t.Fatalf("trial %d: frontierBest modified the heap", trial)
 		}
 	}
 }

@@ -198,7 +198,7 @@ func rowKey(c *lp.Constraint) string {
 // a node carrying a parent basis is re-solved by canonical refactorisation +
 // dual simplex, and the refactorisation depends only on the basis *set*, not
 // on which worker's tableau last held it. That keeps the speculative
-// parallel search bit-identical to the sequential one (see prefetcher).
+// parallel search bit-identical to the sequential one (see prefetchQueue).
 type relaxSolver struct {
 	pp     *prepped
 	s      *lp.Solver
@@ -206,8 +206,7 @@ type relaxSolver struct {
 	// cuts is the cut list currently installed as appended rows past the
 	// prepped constraints. Node cut lists are immutable and shared between
 	// siblings, so the pointer comparison in configure makes consecutive
-	// same-subtree solves (sibling affinity on the steal pool) skip the
-	// row rebuild entirely.
+	// same-subtree solves skip the row rebuild entirely.
 	cuts []*cut
 }
 

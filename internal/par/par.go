@@ -6,8 +6,10 @@
 // The pipeline's determinism guarantee — parallel synthesis produces
 // bit-identical designs to sequential synthesis — is upheld by the callers:
 // every use of ForEach writes results only to index-distinct storage, and
-// the speculative solvers in internal/milp and internal/cluster commit
-// results in a canonical order. This package only supplies the mechanics.
+// the speculative prefetch queue in internal/milp commits results in the
+// canonical node order. Construction (internal/cluster included) is
+// sequential, so within one synthesis the knob feeds only that queue. This
+// package only supplies the mechanics.
 package par
 
 import (
@@ -44,10 +46,10 @@ func Resolve(parallelism int) int {
 }
 
 // ResolveSpeculative maps the knob to a worker count for *speculative*
-// helpers — optional work (prefetched LP relaxations, look-ahead L_max
-// probes) that only pays off on cores the critical path is not using. The
-// resolved count is additionally capped at GOMAXPROCS: splitting mandatory
-// ForEach work across more goroutines than cores is merely neutral, but
+// helpers — optional work (prefetched LP relaxations) that only pays off
+// on cores the critical path is not using. The resolved count is
+// additionally capped at GOMAXPROCS: splitting mandatory ForEach work
+// across more goroutines than cores is merely neutral, but
 // speculative solves beyond the core count steal cycles from the very
 // path they are meant to hide, which is how -j 4 made single-core runs
 // slower. Determinism is unaffected — speculation never changes results,

@@ -79,10 +79,11 @@ type Options struct {
 	// unifies with it: the solver stops at whichever comes first and
 	// returns its incumbent.
 	MILPTimeLimit time.Duration
-	// Parallelism is the worker count used throughout the pipeline (0 =
-	// GOMAXPROCS, 1 = sequential). The synthesised design is bit-identical
-	// for every setting, which is why Parallelism is excluded from cache
-	// keys.
+	// Parallelism is the worker count of the exact solve's speculative LP
+	// prefetch (0 = GOMAXPROCS, 1 = sequential); construction, clustering
+	// included, is sequential, so within one synthesis that is all it
+	// feeds. The synthesised design is bit-identical for every setting,
+	// which is why Parallelism is excluded from cache keys.
 	Parallelism int
 	// Oracle names an independent cross-check solver run when the exact
 	// wavelength assignment fails to prove optimality (wavelength

@@ -94,12 +94,15 @@ func TestParallelSynthesisBitIdenticalMILP(t *testing.T) {
 	}
 }
 
-// TestWorkStealingFingerprintDeterministic pins the work-stealing pool's
-// determinism end to end: for VOPD and D26, SRing synthesis with the exact
-// MILP at Parallelism 1, 2 and 8 must produce byte-identical AssignStats —
-// including MILPNodeFingerprint, the FNV-1a fold of the explored node
-// sequence, which detects any reordering of the branch-and-bound commits
-// even when the final design happens to agree. D26 sits above the MILP
+// TestWorkStealingFingerprintDeterministic pins the branch-and-bound
+// prefetch queue's determinism end to end (the name predates the queue,
+// which replaced a work-stealing pool): for VOPD and D26, SRing synthesis
+// with the exact MILP at Parallelism 1, 2 and 8 must produce
+// byte-identical AssignStats — including MILPNodeFingerprint, the FNV-1a
+// fold of the explored node sequence, which detects any reordering of the
+// branch-and-bound commits even when the final design happens to agree.
+// MPEG's model, which does run the queue, is pinned under a node budget
+// in internal/milp (TestPrefetchQueueMPEGNodeBudget). D26 sits above the MILP
 // size gate, so both sides must skip the solve identically
 // (MILPRan=false, fingerprint 0), which the comparison also checks.
 func TestWorkStealingFingerprintDeterministic(t *testing.T) {
